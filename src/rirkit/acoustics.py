@@ -51,9 +51,6 @@ class AcousticParams:
         if not (np.isfinite(self.drr) and np.isfinite(self.cte)):
             raise ValueError("drr and cte must be finite")
 
-    def as_dict(self) -> dict[str, float]:
-        return {"t60": self.t60, "drr": self.drr, "edt": self.edt, "cte": self.cte}
-
 
 @dataclass(frozen=True)
 class DecayCurve:

@@ -112,6 +112,9 @@ def load_wav(path: str | Path) -> AudioBuffer:
         cid = data[pos : pos + 4]
         (size,) = struct.unpack_from("<I", data, pos + 4)
         body = data[pos + 8 : pos + 8 + size]
+        if len(body) != size:
+            raise WavFormatError(f"{path}: {cid!r} chunk declares {size} bytes, "
+                                 f"file holds {len(body)}")
         if cid == b"fmt ":
             if size < 16:
                 raise WavFormatError(f"{path}: fmt chunk too short ({size} bytes)")
@@ -127,17 +130,19 @@ def load_wav(path: str | Path) -> AudioBuffer:
         raise WavFormatError(f"{path}: invalid fmt fields")
 
     if audio_format == 1 and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2")
-        scale = np.float32(1.0 / 32768.0)
+        dtype, scale = "<i2", np.float32(1.0 / 32768.0)
     elif audio_format == 3 and bits == 32:
-        raw = np.frombuffer(payload, dtype="<f4")
-        scale = np.float32(1.0)
+        dtype, scale = "<f4", np.float32(1.0)
     else:
         raise UnsupportedEncodingError(
             f"{path}: unsupported encoding (format={audio_format}, bits={bits}); "
             "only 16-bit PCM and 32-bit IEEE float are readable"
         )
+    if len(payload) % (bits // 8):
+        raise WavFormatError(f"{path}: data chunk of {len(payload)} bytes is not a "
+                             f"whole number of {bits}-bit samples")
 
+    raw = np.frombuffer(payload, dtype=dtype)
     frames = raw.size // n_channels
     if frames == 0:
         raise WavFormatError(f"{path}: empty data chunk")

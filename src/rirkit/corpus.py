@@ -16,8 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-KNOWN_SOURCES = ("BUT", "AIR", "GAS", "GAN.C", "GAN.U", "OTHER")
-
 
 @dataclass(frozen=True)
 class PoolEntry:

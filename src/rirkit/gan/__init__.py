@@ -5,8 +5,6 @@ from .nets import (
     Critic,
     GanModel,
     Generator,
-    critic_forward,
-    generator_forward,
     sample_latent,
 )
 from .training import (
@@ -35,9 +33,7 @@ __all__ = [
     "TrainResult",
     "TrainingDivergedError",
     "clip_weights",
-    "critic_forward",
     "critic_loss",
-    "generator_forward",
     "generator_loss",
     "load_checkpoint",
     "sample_latent",

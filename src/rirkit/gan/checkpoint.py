@@ -3,7 +3,9 @@
 Layout: magic bytes "IRGAN01", a little-endian uint32 header length, a JSON
 header (d, step, seed, latent distribution, shuffle radius, and the ordered
 parameter manifest with shapes), then raw little-endian float32 weight blobs
-in manifest order (generator first, then critic).
+in manifest order (generator first, then critic). Loading refuses a header
+whose manifest differs from the model that d builds, so a checkpoint either
+restores every tensor or does not load.
 """
 
 from __future__ import annotations
@@ -63,21 +65,28 @@ def load_checkpoint(path: str | Path, dtype=np.float32):
         header = json.loads(data[start : start + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header")
+    d, step, seed = (header.get(key) for key in ("d", "step", "seed"))
+    if not all(type(v) is int for v in (d, step, seed)) or d < 1:
+        raise CheckpointError(f"{path}: header needs integers d >= 1, step and seed")
 
-    d = int(header["d"])
     rng = np.random.default_rng(0)  # weights are overwritten below
     model = GanModel(
         generator=Generator(d, rng=rng, dtype=dtype),
         critic=Critic(d, shuffle_radius=int(header.get("shuffle_radius", 2)),
                       rng=rng, dtype=dtype),
         d=d,
-        step=int(header["step"]),
-        seed=int(header["seed"]),
+        step=step,
+        seed=seed,
         latent_dist=header.get("latent_dist", "uniform"),
     )
+    manifest = _manifest(model)
+    if header.get("params") != manifest:
+        raise CheckpointError(f"{path}: parameter manifest differs from a d={d} model's")
     nets = {"generator": model.generator, "critic": model.critic}
     pos = start + hlen
-    for entry in header["params"]:
+    for entry in manifest:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape))
         raw = data[pos : pos + 4 * count]

@@ -7,7 +7,7 @@ swamps the h^2 truncation error of the central difference.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,32 +40,3 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray,
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float(np.max(np.abs(a - n) / denom))
 
-
-def check_param_gradients(
-    loss_fn: Callable[[], float],
-    pairs: Iterable[tuple[np.ndarray, np.ndarray]],
-    h: float = 1e-4,
-    max_per_tensor: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Worst relative error over (param, analytic_grad) pairs.
-
-    loss_fn must recompute the loss from current parameter values each call.
-    max_per_tensor limits the checked entries per tensor (seeded subsample)
-    for very large tensors; None checks every entry.
-    """
-    worst = 0.0
-    for arr, grad in pairs:
-        if max_per_tensor is not None and arr.size > max_per_tensor:
-            r = rng if rng is not None else np.random.default_rng(0)
-            indices = np.sort(r.choice(arr.size, size=max_per_tensor, replace=False))
-        else:
-            indices = None
-        numeric = numeric_gradient(loss_fn, arr, h=h, indices=indices)
-        mask = np.zeros(arr.size, dtype=bool)
-        mask[np.arange(arr.size) if indices is None else indices] = True
-        err = relative_error(
-            np.asarray(grad).ravel()[mask], numeric.ravel()[mask]
-        )
-        worst = max(worst, err)
-    return worst

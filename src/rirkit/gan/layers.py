@@ -3,7 +3,13 @@
 1-D convolutions use (batch, time, channels) layout. Strided convolutions pad
 SAME-style (left pad = floor((kernel - stride)/2)); transposed convolutions
 produce exactly stride * input_length samples by cropping the full output with
-the matching offsets, so analysis and synthesis stacks mirror each other.
+the same offset, so analysis and synthesis stacks mirror each other.
+
+All four convolution passes run on two kernels, which are each other's
+adjoint: ``_gather`` (SAME pad, then one row per stride-s window) serves
+``Conv1d.forward`` and ``ConvTranspose1d.backward``; ``_overlap_add`` (scatter
+each window back with stride s, then crop the padding) serves
+``ConvTranspose1d.forward`` and ``Conv1d.backward``.
 
 Gradients are assigned (not accumulated) on each backward call; every layer
 keeps the forward activations it needs, so backward without a prior forward
@@ -19,6 +25,29 @@ from numpy.lib.stride_tricks import sliding_window_view
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int, dtype):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+
+def _gather(x: np.ndarray, k: int, s: int) -> np.ndarray:
+    """(b, t, c) -> contiguous (b * t/s, c * k): the k-sample window of every
+    output step of a SAME-padded stride-s convolution, channel-major."""
+    b, t, c = x.shape
+    if t % s != 0:
+        raise ValueError(f"input length {t} not divisible by stride {s}")
+    pl = (k - s) // 2
+    xp = np.pad(x, ((0, 0), (pl, k - s - pl), (0, 0)))
+    v = sliding_window_view(xp, k, axis=1)[:, ::s]  # (b, t/s, c, k)
+    return np.ascontiguousarray(v).reshape(b * (t // s), c * k)
+
+
+def _overlap_add(contrib: np.ndarray, s: int, dtype) -> np.ndarray:
+    """(b, t, k, c) window contributions -> (b, t*s, c): add window i at
+    offset i*s, tap by tap in j order, then crop the SAME padding."""
+    b, t, k, c = contrib.shape
+    full = np.zeros((b, (t - 1) * s + k, c), dtype=dtype)
+    for j in range(k):
+        full[:, j : j + t * s : s, :] += contrib[:, :, j, :]
+    crop = (k - s) // 2
+    return full[:, crop : crop + t * s, :]
 
 
 class Layer:
@@ -57,86 +86,61 @@ class Dense(Layer):
         return gy @ self.params["W"].T
 
 
-class Conv1d(Layer):
+class _Conv(Layer):
+    """Weights (kernel, c_in, c_out) and bias (c_out) of a strided convolution."""
+
+    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
+                 rng: np.random.Generator, dtype=np.float32):
+        super().__init__()
+        self.c_in, self.c_out, self.kernel, self.stride = c_in, c_out, kernel, stride
+        fan = kernel * c_in, kernel * c_out
+        self.params["W"] = glorot_uniform(rng, (kernel, c_in, c_out), *fan, dtype)
+        self.params["b"] = np.zeros(c_out, dtype=dtype)
+
+
+class Conv1d(_Conv):
     """Strided 1-D convolution, SAME padding; input length must divide the stride."""
 
-    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        super().__init__()
-        self.c_in, self.c_out, self.kernel, self.stride = c_in, c_out, kernel, stride
-        fan = kernel * c_in, kernel * c_out
-        self.params["W"] = glorot_uniform(rng, (kernel, c_in, c_out), *fan, dtype)
-        self.params["b"] = np.zeros(c_out, dtype=dtype)
+    def _wm(self):
+        return self.params["W"].transpose(1, 0, 2).reshape(self.c_in * self.kernel, self.c_out)
 
     def forward(self, x):
         b, t, _ = x.shape
-        k, s = self.kernel, self.stride
-        if t % s != 0:
-            raise ValueError(f"input length {t} not divisible by stride {s}")
-        t_out = t // s
-        pad_total = (t_out - 1) * s + k - t
-        pl = pad_total // 2
-        xp = np.pad(x, ((0, 0), (pl, pad_total - pl), (0, 0)))
-        v = sliding_window_view(xp, k, axis=1)[:, ::s]  # (b, t_out, c_in, k)
-        v = np.ascontiguousarray(v)
-        w = self.params["W"]
-        wm = w.transpose(1, 0, 2).reshape(self.c_in * k, self.c_out)
-        y = v.reshape(b * t_out, self.c_in * k) @ wm + self.params["b"]
-        self._ctx = (v, t, pl)
-        return y.reshape(b, t_out, self.c_out)
+        v = _gather(x, self.kernel, self.stride)  # (b * t_out, c_in * k)
+        self._ctx = v
+        y = v @ self._wm() + self.params["b"]
+        return y.reshape(b, t // self.stride, self.c_out)
 
     def backward(self, gy, param_grads=True):
-        v, t, pl = self._require_ctx()
+        v = self._require_ctx()
         b, t_out, _ = gy.shape
-        k, s = self.kernel, self.stride
+        k = self.kernel
         g2 = gy.reshape(b * t_out, self.c_out)
-        w = self.params["W"]
-        wm = w.transpose(1, 0, 2).reshape(self.c_in * k, self.c_out)
         if param_grads:
-            gw = (v.reshape(b * t_out, self.c_in * k).T @ g2)
+            gw = v.T @ g2
             self.grads["W"] = gw.reshape(self.c_in, k, self.c_out).transpose(1, 0, 2)
             self.grads["b"] = g2.sum(axis=0)
-        contrib = (g2 @ wm.T).reshape(b, t_out, self.c_in, k)
-        gxp = np.zeros((b, (t_out - 1) * s + k, self.c_in), dtype=gy.dtype)
-        for j in range(k):
-            gxp[:, j : j + t_out * s : s, :] += contrib[:, :, :, j]
-        return gxp[:, pl : pl + t, :]
+        contrib = (g2 @ self._wm().T).reshape(b, t_out, self.c_in, k)
+        return _overlap_add(contrib.transpose(0, 1, 3, 2), self.stride, gy.dtype)
 
 
-class ConvTranspose1d(Layer):
+class ConvTranspose1d(_Conv):
     """Strided 1-D transposed convolution producing stride * input_length samples."""
-
-    def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        super().__init__()
-        self.c_in, self.c_out, self.kernel, self.stride = c_in, c_out, kernel, stride
-        fan = kernel * c_in, kernel * c_out
-        self.params["W"] = glorot_uniform(rng, (kernel, c_in, c_out), *fan, dtype)
-        self.params["b"] = np.zeros(c_out, dtype=dtype)
 
     def forward(self, x):
         b, t, _ = x.shape
-        k, s = self.kernel, self.stride
-        w = self.params["W"]
-        wm = w.transpose(1, 0, 2).reshape(self.c_in, k * self.c_out)
+        k = self.kernel
+        wm = self.params["W"].transpose(1, 0, 2).reshape(self.c_in, k * self.c_out)
         contrib = (x.reshape(b * t, self.c_in) @ wm).reshape(b, t, k, self.c_out)
-        full = np.zeros((b, (t - 1) * s + k, self.c_out), dtype=x.dtype)
-        for j in range(k):
-            full[:, j : j + t * s : s, :] += contrib[:, :, j, :]
-        crop = (k - s) // 2
-        self._ctx = (x, crop)
-        return full[:, crop : crop + t * s, :] + self.params["b"]
+        self._ctx = x
+        return _overlap_add(contrib, self.stride, x.dtype) + self.params["b"]
 
     def backward(self, gy, param_grads=True):
-        x, crop = self._require_ctx()
+        x = self._require_ctx()
         b, t, _ = x.shape
-        k, s = self.kernel, self.stride
-        gfull = np.zeros((b, (t - 1) * s + k, self.c_out), dtype=gy.dtype)
-        gfull[:, crop : crop + t * s, :] = gy
-        v = sliding_window_view(gfull, k, axis=1)[:, ::s]  # (b, t, c_out, k)
-        v = np.ascontiguousarray(v).reshape(b * t, self.c_out * k)
-        w = self.params["W"]
-        gx = v @ w.transpose(2, 0, 1).reshape(self.c_out * k, self.c_in)
+        k = self.kernel
+        v = _gather(gy, k, self.stride)  # (b * t, c_out * k)
+        gx = v @ self.params["W"].transpose(2, 0, 1).reshape(self.c_out * k, self.c_in)
         if param_grads:
             gw = x.reshape(b * t, self.c_in).T @ v
             self.grads["W"] = gw.reshape(self.c_in, self.c_out, k).transpose(2, 0, 1)
@@ -180,7 +184,7 @@ class Tanh(Layer):
 
 
 class Reshape(Layer):
-    """(batch, n) <-> (batch, *shape)."""
+    """(batch, ...) -> (batch, *shape); backward restores the input shape."""
 
     def __init__(self, *shape: int):
         super().__init__()
@@ -194,20 +198,11 @@ class Reshape(Layer):
         return gy.reshape(self._require_ctx())
 
 
-class Flatten(Layer):
-    def forward(self, x):
-        self._ctx = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, gy, param_grads=True):
-        return gy.reshape(self._require_ctx())
-
-
 class PhaseShuffle(Layer):
     """Shift feature maps in time by a small integer, reflecting at the edges.
 
     The shift is drawn by the caller (one draw per application, shared across
-    the batch); radius 0 disables the layer. Linear, so backward just scatters
+    the batch); shift 0 is the identity. Linear, so backward just scatters
     gradients through the cached index map.
     """
 

@@ -18,7 +18,6 @@ from .layers import (
     Conv1d,
     ConvTranspose1d,
     Dense,
-    Flatten,
     Layer,
     LeakyReLU,
     PhaseShuffle,
@@ -47,58 +46,90 @@ def sample_latent(rng: np.random.Generator, n: int | None = None,
 
 
 class _Net:
-    """Shared bookkeeping: an ordered layer stack with named parameter tensors."""
+    """An ordered layer stack, its named parameter layers, and the one
+    forward/backward loop both networks share. Subclasses set ``n_in`` (values
+    per input row) and ``out_shape`` (per-row output shape)."""
 
-    def __init__(self):
+    n_in: int
+    out_shape: tuple[int, ...]
+
+    def __init__(self, d: int, dtype):
+        if d < 1:
+            raise ValueError("model-size multiplier d must be >= 1")
+        self.d = d
+        self.dtype = np.dtype(dtype)
         self._stack: list[Layer] = []
-        self._names: list[str] = []  # parallel to _stack; "" for parameterless
+        self._layers: dict[str, Layer] = {}  # parameter layers in stack order
 
-    def _add(self, layer: Layer, name: str = "") -> Layer:
+    def _add(self, layer: Layer, name: str = "") -> None:
         self._stack.append(layer)
-        self._names.append(name)
-        return layer
+        if name:
+            self._layers[name] = layer
+
+    def forward(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
+        """(n, n_in) batch -> (n, *out_shape); one unbatched row gives one
+        unbatched output.
+
+        Each phase-shuffle layer draws its shift from rng, in stack order.
+        With rng=None (evaluation, gradient checks) or radius 0 every shift
+        is 0, an exactly reproducible, shuffle-free pass.
+        """
+        h = np.asarray(x, dtype=self.dtype)
+        squeeze = h.ndim == 1
+        if squeeze:
+            h = h[None, :]
+        if h.shape[1:] != (self.n_in,):
+            raise ValueError(f"{type(self).__name__} input must have {self.n_in} "
+                             f"values per row, got {h.shape}")
+        for layer in self._stack:
+            if isinstance(layer, PhaseShuffle):
+                r = layer.radius
+                shift = 0 if rng is None or r == 0 else int(rng.integers(-r, r + 1))
+                h = layer.forward(h, shift)
+            else:
+                h = layer.forward(h)
+        return h[0] if squeeze else h
+
+    def backward(self, g: np.ndarray, param_grads: bool = True) -> np.ndarray:
+        """Gradient wrt the last forward's output -> (n, n_in) gradient wrt
+        its input; parameter gradients land in each layer's ``grads``."""
+        g = np.asarray(g, dtype=self.dtype)
+        if g.ndim == len(self.out_shape):
+            g = g[None]
+        for layer in reversed(self._stack):
+            g = layer.backward(g, param_grads=param_grads)
+        return g
 
     def named_params(self) -> list[tuple[str, str, np.ndarray]]:
-        out = []
-        for name, layer in zip(self._names, self._stack):
-            if name:
-                for pname, arr in layer.params.items():
-                    out.append((name, pname, arr))
-        return out
+        return [(name, pname, arr) for name, layer in self._layers.items()
+                for pname, arr in layer.params.items()]
 
     def param_arrays(self) -> list[np.ndarray]:
         return [arr for _, _, arr in self.named_params()]
 
     def grad_arrays(self) -> list[np.ndarray]:
-        out = []
-        for name, layer in zip(self._names, self._stack):
-            if name:
-                for pname in layer.params:
-                    out.append(layer.grads[pname])
-        return out
+        return [layer.grads[p] for layer in self._layers.values() for p in layer.params]
 
     def set_param(self, layer_name: str, param_name: str, value: np.ndarray) -> None:
-        for name, layer in zip(self._names, self._stack):
-            if name == layer_name:
-                current = layer.params[param_name]
-                if current.shape != value.shape:
-                    raise ValueError(
-                        f"{layer_name}.{param_name}: shape {value.shape} != {current.shape}"
-                    )
-                layer.params[param_name] = value.astype(current.dtype)
-                return
-        raise KeyError(layer_name)
+        layer = self._layers[layer_name]
+        current = layer.params[param_name]
+        if current.shape != value.shape:
+            raise ValueError(
+                f"{layer_name}.{param_name}: shape {value.shape} != {current.shape}"
+            )
+        layer.params[param_name] = value.astype(current.dtype)
 
 
 class Generator(_Net):
+    """(n, 100) latent batch -> (n, 16384) waveforms in (-1, 1)."""
+
+    n_in = LATENT_DIM
+    out_shape = (OUTPUT_LENGTH,)
+
     def __init__(self, d: int = 4, rng: np.random.Generator | None = None,
                  dtype=np.float32):
-        super().__init__()
-        if d < 1:
-            raise ValueError("model-size multiplier d must be >= 1")
+        super().__init__(d, dtype)
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.d = d
-        self.dtype = np.dtype(dtype)
         widths = [16 * d, 8 * d, 4 * d, 2 * d, d, 1]
         self._add(Dense(LATENT_DIM, 16 * 16 * d, rng, dtype), "dense")
         self._add(Reshape(16, 16 * d))
@@ -109,90 +140,31 @@ class Generator(_Net):
                 f"tconv{i + 1}",
             )
             self._add(Tanh() if i == 4 else ReLU())
-
-    def forward(self, z: np.ndarray) -> np.ndarray:
-        """(n, 100) latent batch -> (n, 16384) waveforms in (-1, 1)."""
-        z = np.asarray(z, dtype=self.dtype)
-        squeeze = z.ndim == 1
-        if squeeze:
-            z = z[None, :]
-        if z.shape[1] != LATENT_DIM:
-            raise ValueError(f"latent vectors must have {LATENT_DIM} dims, got {z.shape}")
-        h = z
-        for layer in self._stack:
-            h = layer.forward(h)
-        out = h[:, :, 0]
-        return out[0] if squeeze else out
-
-    def backward(self, gy: np.ndarray) -> np.ndarray:
-        g = np.asarray(gy, dtype=self.dtype)
-        if g.ndim == 1:
-            g = g[None, :]
-        g = g[:, :, None]
-        for layer in reversed(self._stack):
-            g = layer.backward(g)
-        return g
+        self._add(Reshape(OUTPUT_LENGTH))
 
 
 class Critic(_Net):
+    """(n, 16384) waveforms -> (n,) scores."""
+
+    n_in = OUTPUT_LENGTH
+    out_shape = ()
+
     def __init__(self, d: int = 4, shuffle_radius: int = 2,
                  rng: np.random.Generator | None = None, dtype=np.float32):
-        super().__init__()
-        if d < 1:
-            raise ValueError("model-size multiplier d must be >= 1")
+        super().__init__(d, dtype)
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.d = d
         self.shuffle_radius = shuffle_radius
-        self.dtype = np.dtype(dtype)
         widths = [1, d, 2 * d, 4 * d, 8 * d, 16 * d]
+        self._add(Reshape(OUTPUT_LENGTH, 1))
         for i in range(5):
             self._add(Conv1d(widths[i], widths[i + 1], KERNEL, STRIDE, rng, dtype),
                       f"conv{i + 1}")
             self._add(LeakyReLU(LEAKY_SLOPE))
             if i < 4:
                 self._add(PhaseShuffle(shuffle_radius))
-        self._add(Flatten())
+        self._add(Reshape(16 * 16 * d))
         self._add(Dense(16 * 16 * d, 1, rng, dtype), "dense")
-        self._trace: list[Layer] | None = None
-
-    def forward(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        """(n, 16384) waveforms -> (n,) scores.
-
-        Phase shuffle only fires when an rng is supplied and the radius is
-        positive; evaluation and gradient checks pass rng=None for an exactly
-        reproducible, shuffle-free pass.
-        """
-        x = np.asarray(x, dtype=self.dtype)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
-        if x.shape[1] != OUTPUT_LENGTH:
-            raise ValueError(f"critic input must have {OUTPUT_LENGTH} samples, got {x.shape}")
-        h = x[:, :, None]
-        trace = []
-        for layer in self._stack:
-            if isinstance(layer, PhaseShuffle):
-                if rng is None or layer.radius == 0:
-                    continue
-                shift = int(rng.integers(-layer.radius, layer.radius + 1))
-                h = layer.forward(h, shift)
-            else:
-                h = layer.forward(h)
-            trace.append(layer)
-        self._trace = trace
-        out = h[:, 0]
-        return out[0] if squeeze else out
-
-    def backward(self, gscores: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        if self._trace is None:
-            raise RuntimeError("Critic.backward called before forward")
-        g = np.asarray(gscores, dtype=self.dtype)
-        if g.ndim == 0:
-            g = g[None]
-        g = g[:, None]
-        for layer in reversed(self._trace):
-            g = layer.backward(g, param_grads=param_grads)
-        return g[:, :, 0]
+        self._add(Reshape())
 
 
 @dataclass
@@ -206,11 +178,3 @@ class GanModel:
     seed: int
     latent_dist: str = "uniform"
 
-
-def generator_forward(net: Generator, z: np.ndarray) -> np.ndarray:
-    return net.forward(z)
-
-
-def critic_forward(net: Critic, x: np.ndarray,
-                   rng: np.random.Generator | None = None) -> np.ndarray:
-    return net.forward(x, rng=rng)

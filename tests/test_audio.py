@@ -79,6 +79,22 @@ class TestLoadWav:
         assert issubclass(UnsupportedEncodingError, WavFormatError)
 
 
+    def test_payload_not_whole_samples(self, tmp_path):
+        raw = bytearray(pcm16_wav_bytes([0, 0], 16000))
+        raw[40:44] = struct.pack("<I", 3)  # 16-bit data chunk of 3 bytes
+        p = tmp_path / "odd.wav"
+        p.write_bytes(bytes(raw[:47]))
+        with pytest.raises(WavFormatError):
+            load_wav(p)
+
+    def test_data_chunk_longer_than_file(self, tmp_path):
+        raw = bytearray(pcm16_wav_bytes(np.arange(10), 16000))
+        raw[40:44] = struct.pack("<I", 2000)  # declares 2000 bytes, holds 20
+        p = tmp_path / "short.wav"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(WavFormatError):
+            load_wav(p)
+
 class TestSaveWav:
     def test_round_trip_simple(self, tmp_path):
         buf = AudioBuffer(np.float32([0.0, 0.5, -1.0]), 16000)

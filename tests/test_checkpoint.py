@@ -1,0 +1,94 @@
+"""Checkpoint load contract: a checkpoint restores every tensor of the model
+its header describes, or it raises CheckpointError."""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from rirkit.gan import CheckpointError, Critic, GanModel, Generator, load_checkpoint, save_checkpoint
+from rirkit.gan.checkpoint import MAGIC
+
+
+@pytest.fixture()
+def saved(tmp_path):
+    model = GanModel(Generator(1, rng=np.random.default_rng(1)),
+                     Critic(1, rng=np.random.default_rng(2)), d=1, step=3, seed=4)
+    path = tmp_path / "model.gan"
+    save_checkpoint(model, path)
+    return model, path
+
+
+def split(path):
+    data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
+    start = len(MAGIC) + 4
+    return json.loads(data[start : start + hlen]), data[start + hlen :]
+
+
+def join(path, header, body):
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + body)
+
+
+def test_rewritten_unchanged_header_still_loads(saved):
+    model, path = saved
+    join(path, *split(path))
+    loaded = load_checkpoint(path)
+    assert (loaded.d, loaded.step, loaded.seed) == (1, 3, 4)
+    for a, b in zip(model.critic.param_arrays(), loaded.critic.param_arrays()):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_partial_manifest_refused(saved):
+    # only the generator's dense.W, with exactly its blob: every other tensor
+    # would keep its placeholder initialisation
+    _, path = saved
+    header, body = split(path)
+    first = header["params"][0]
+    assert (first["role"], first["layer"], first["param"]) == ("generator", "dense", "W")
+    header["params"] = [first]
+    join(path, header, body[: 4 * int(np.prod(first["shape"]))])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+def _drop_last(params):
+    return params[:-1]
+
+
+def _extra(params):
+    return params + [dict(params[-1], param="extra")]
+
+
+def _reorder(params):
+    return [params[1], params[0]] + params[2:]
+
+
+def _wrong_shape(params):
+    return [dict(params[0], shape=[100, 255])] + params[1:]
+
+
+@pytest.mark.parametrize("edit", [_drop_last, _extra, _reorder, _wrong_shape])
+def test_manifest_mismatch_refused(saved, edit):
+    _, path = saved
+    header, body = split(path)
+    header["params"] = edit(header["params"])
+    join(path, header, body)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["d", "step", "seed"])
+@pytest.mark.parametrize("value", [None, "1", 1.5, True])
+def test_bad_integer_fields_refused(saved, key, value):
+    _, path = saved
+    header, body = split(path)
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    join(path, header, body)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rirkit.gan.gradcheck import check_param_gradients, numeric_gradient, relative_error
+from rirkit.gan.gradcheck import numeric_gradient, relative_error
 from rirkit.gan.layers import (
     Conv1d,
     ConvTranspose1d,
@@ -114,6 +114,48 @@ class TestShapes:
         y = ps.forward(x, -2)[0, :, 0]
         np.testing.assert_array_equal(y, [2, 3, 4, 5, 4, 3])
 
+
+
+class TestKernelReferences:
+    """Forward values of the gather and overlap-add kernels against their
+    definitions (float64, so any reordering of the sums stays within 1e-12)."""
+
+    def test_conv1d_matches_direct_sum(self):
+        rng = np.random.default_rng(7)
+        k, s = 25, 4
+        layer = Conv1d(3, 5, kernel=k, stride=s, rng=rng, dtype=np.float64)
+        layer.params["b"] = rng.standard_normal(5)
+        x = rng.standard_normal((2, 64, 3))
+        pl = (k - s) // 2
+        xp = np.pad(x, ((0, 0), (pl, k - s - pl), (0, 0)))
+        w, b = layer.params["W"], layer.params["b"]
+        ref = np.stack([sum(xp[:, i * s + j] @ w[j] for j in range(k)) + b
+                        for i in range(64 // s)], axis=1)
+        np.testing.assert_allclose(layer.forward(x), ref, rtol=1e-12, atol=1e-12)
+
+    def test_conv_transpose_is_adjoint_of_conv(self):
+        rng = np.random.default_rng(8)
+        conv = Conv1d(3, 5, kernel=25, stride=4, rng=rng, dtype=np.float64)
+        tconv = ConvTranspose1d(5, 3, kernel=25, stride=4, rng=rng, dtype=np.float64)
+        tconv.params["W"] = conv.params["W"].transpose(0, 2, 1).copy()
+        x = rng.standard_normal((2, 64, 3))
+        g = rng.standard_normal((2, 16, 5))
+        y = conv.forward(x) - conv.params["b"]
+        gx = conv.backward(g)
+        # the input gradient is the true adjoint: <conv(x), g> == <x, conv^T g>
+        assert np.sum(x * gx) == pytest.approx(np.sum(y * g), rel=1e-12)
+        # overlap-add pair: transposed forward == convolution input gradient
+        np.testing.assert_allclose(tconv.forward(g), gx, rtol=1e-12, atol=1e-12)
+        # gather pair: transposed input gradient == bias-free convolution
+        np.testing.assert_allclose(tconv.backward(x), conv.forward(x) - conv.params["b"],
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_phase_shuffle_zero_shift_is_identity(self):
+        ps = PhaseShuffle(2)
+        x = RNG.standard_normal((2, 30, 3))
+        g = RNG.standard_normal((2, 30, 3))
+        np.testing.assert_array_equal(ps.forward(x, 0), x)
+        np.testing.assert_array_equal(ps.backward(g), g)
 
 def _net_fd_check(loss_fn, pairs, max_per_tensor, rng):
     """Primary h, refine kink-suspect entries at the smaller step."""

@@ -1,0 +1,55 @@
+"""The benchmark's tracer patches rirkit functions by name; a rename would
+silently drop their per-layer metrics. Install it, build both nets, and check
+that every target was found and that uninstall restores the originals."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+import rirkit.acoustics as acoustics
+import rirkit.audio as audio
+import rirkit.augment as augment
+import rirkit.corpus as corpus
+import rirkit.gan.checkpoint as checkpoint
+import rirkit.gan.nets as nets
+import rirkit.gan.training as training
+import rirkit.sampler as sampler
+from rirkit.gan.layers import Conv1d, ConvTranspose1d
+
+OWNERS = (acoustics, audio, augment, corpus, checkpoint, nets, training, sampler,
+          nets.Generator, nets.Critic, training.RMSProp)
+
+
+def _load_tracing():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_trace_targets_exist_and_uninstall_restores():
+    before = [dict(vars(owner)) for owner in OWNERS]
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        gen, crit = nets.Generator(1), nets.Critic(1)
+        assert tracer.problems == []
+        convs = [layer for net in (gen, crit) for layer in net._stack
+                 if isinstance(layer, (Conv1d, ConvTranspose1d))]
+        assert len(convs) == 10
+        assert all("forward" in vars(c) and "backward" in vars(c) for c in convs)
+        scores = crit.forward(gen.forward(np.zeros((1, nets.LATENT_DIM))))
+        crit.backward(np.ones_like(scores))
+        names = {span[0] for span in tracer.spans}
+        assert {"gan.generator.forward", "gan.generator.tconv5.fwd",
+                "gan.critic.conv1.fwd", "gan.critic.conv1.bwd",
+                "gan.critic.backward"} <= names
+    finally:
+        tracer.uninstall()
+    for owner, snapshot in zip(OWNERS, before):
+        now = vars(owner)
+        assert now.keys() == snapshot.keys(), owner
+        assert all(now[k] is v for k, v in snapshot.items()), owner
