@@ -4,6 +4,7 @@ Four scalar descriptors are estimated from the Schroeder energy decay curve
 and windowed energy ratios: reverberation time (T60), early decay time (EDT),
 direct-to-reverberant ratio (DRR), and the early-to-late index (CTE).
 All four are scale-invariant, so they are unaffected by peak normalization.
+Every input, a raw array included, is read at RIR_RATE (16 kHz).
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ EDC_FLOOR_DB = -150.0
 # energy-ratio outputs are clamped so delta-like inputs stay finite
 DB_CLAMP = 120.0
 _EPS = 1e-12
+_DRR_WINDOW = 40  # samples either side of the peak: 2.5 ms at RIR_RATE
+_CTE_SPLIT = 800  # samples past the peak: 50 ms at RIR_RATE
 
 RirLike = Union[Rir, np.ndarray]
 
@@ -54,34 +57,33 @@ class AcousticParams:
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Schroeder decay curve in dB, one value per sample, 0 dB at index 0,
-    monotonically non-increasing."""
+    """Schroeder decay curve in dB, one value per sample at RIR_RATE, 0 dB at
+    index 0, monotonically non-increasing."""
 
     values: np.ndarray
-    sample_rate: int
 
     @property
     def times(self) -> np.ndarray:
-        return np.arange(self.values.size) / self.sample_rate
+        return np.arange(self.values.size) / RIR_RATE
 
 
-def _samples_and_rate(rir: RirLike, sample_rate: int) -> tuple[np.ndarray, int]:
+def _samples(rir: RirLike) -> np.ndarray:
     if isinstance(rir, Rir):
-        return rir.samples.astype(np.float64), RIR_RATE
+        return rir.samples.astype(np.float64)
     s = np.asarray(rir, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("impulse response must be a non-empty 1-D vector")
-    return s, int(sample_rate)
+    return s
 
 
-def energy_decay_curve(rir: RirLike, sample_rate: int = RIR_RATE) -> DecayCurve:
+def energy_decay_curve(rir: RirLike) -> DecayCurve:
     """Backward-integrated squared response, as dB relative to total energy:
 
         EDC(t) = 10 log10( sum_{tau>=t} h^2(tau) / sum_{tau>=0} h^2(tau) )
 
     Values where the remaining energy is zero are clamped to EDC_FLOOR_DB.
     """
-    s, fs = _samples_and_rate(rir, sample_rate)
+    s = _samples(rir)
     energy = s * s
     tail = np.cumsum(energy[::-1])[::-1]
     total = tail[0]
@@ -89,7 +91,7 @@ def energy_decay_curve(rir: RirLike, sample_rate: int = RIR_RATE) -> DecayCurve:
         raise ValueError("zero-energy impulse response")
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(tail / total)
-    return DecayCurve(np.maximum(db, EDC_FLOOR_DB), fs)
+    return DecayCurve(np.maximum(db, EDC_FLOOR_DB))
 
 
 def _fit_line(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
@@ -108,11 +110,11 @@ def _first_at_or_below(v: np.ndarray, level: float, parameter: str) -> int:
     return int(idx[0])
 
 
-def estimate_t60(rir: RirLike, sample_rate: int = RIR_RATE) -> float:
+def estimate_t60(rir: RirLike) -> float:
     """Reverberation time from the T20 span: least-squares line over the
     [-5 dB, -25 dB] stretch of the decay curve, extrapolated to 60 dB
     (T60 = -60 / slope)."""
-    edc = energy_decay_curve(rir, sample_rate)
+    edc = energy_decay_curve(rir)
     v = edc.values
     i5 = _first_at_or_below(v, -5.0, "t60")
     i25 = _first_at_or_below(v, -25.0, "t60")
@@ -125,14 +127,14 @@ def estimate_t60(rir: RirLike, sample_rate: int = RIR_RATE) -> float:
     return -60.0 / slope
 
 
-def estimate_edt(rir: RirLike, sample_rate: int = RIR_RATE) -> float:
+def estimate_edt(rir: RirLike) -> float:
     """Early decay time: 6x the time to fall 10 dB, from a least-squares fit
     over the [0 dB, -10 dB] stretch.
 
     The fit starts at the last sample still at 0 dB, so pre-delay silence
     (which holds the curve at 0) does not flatten the fitted slope.
     """
-    edc = energy_decay_curve(rir, sample_rate)
+    edc = energy_decay_curve(rir)
     v = edc.values
     i10 = _first_at_or_below(v, -10.0, "edt")
     start_candidates = np.nonzero(v[: i10 + 1] >= -1e-9)[0]
@@ -151,45 +153,40 @@ def _clamped_ratio_db(numerator: float, denominator: float) -> float:
     return float(np.clip(val, -DB_CLAMP, DB_CLAMP))
 
 
-def estimate_drr(
-    rir: RirLike, direct_window_ms: float = 2.5, sample_rate: int = RIR_RATE
-) -> float:
-    """Direct-to-reverberant ratio in dB: energy within +-direct_window_ms of
-    the absolute peak versus everything else, clamped to +-120 dB."""
-    s, fs = _samples_and_rate(rir, sample_rate)
+def estimate_drr(rir: RirLike) -> float:
+    """Direct-to-reverberant ratio in dB: energy within +-2.5 ms (_DRR_WINDOW
+    samples) of the absolute peak versus everything else, clamped to +-120 dB."""
+    s = _samples(rir)
     energy = s * s
     total = float(energy.sum())
     if total <= 0.0:
         raise ValueError("zero-energy impulse response")
     peak = int(np.argmax(np.abs(s)))
-    w = int(round(direct_window_ms * 1e-3 * fs))
-    lo, hi = max(0, peak - w), min(s.size, peak + w + 1)
+    lo, hi = max(0, peak - _DRR_WINDOW), min(s.size, peak + _DRR_WINDOW + 1)
     direct = float(energy[lo:hi].sum())
     return _clamped_ratio_db(direct, total - direct)
 
 
-def estimate_cte(rir: RirLike, sample_rate: int = RIR_RATE) -> float:
-    """Early-to-late index in dB: energy up to 50 ms past the direct-sound
-    peak versus the remainder, clamped to +-120 dB."""
-    s, fs = _samples_and_rate(rir, sample_rate)
+def estimate_cte(rir: RirLike) -> float:
+    """Early-to-late index in dB: energy up to 50 ms (_CTE_SPLIT samples) past
+    the direct-sound peak versus the remainder, clamped to +-120 dB."""
+    s = _samples(rir)
     energy = s * s
     total = float(energy.sum())
     if total <= 0.0:
         raise ValueError("zero-energy impulse response")
     peak = int(np.argmax(np.abs(s)))
-    split = min(s.size, peak + int(round(0.050 * fs)))
+    split = min(s.size, peak + _CTE_SPLIT)
     early = float(energy[:split].sum())
     return _clamped_ratio_db(early, total - early)
 
 
-def analyze(rir: RirLike, sample_rate: int = RIR_RATE) -> AcousticParams:
-    """All four parameter estimates for one impulse response. Deterministic;
-    propagates EstimationError from the decay-based estimators."""
+def analyze(rir: RirLike) -> AcousticParams:
+    """All four parameter estimates for one impulse response at RIR_RATE.
+    Deterministic; propagates EstimationError from the decay-based estimators."""
     return AcousticParams(
-        t60=estimate_t60(rir, sample_rate),
-        drr=estimate_drr(rir, sample_rate=sample_rate),
-        edt=estimate_edt(rir, sample_rate),
-        cte=estimate_cte(rir, sample_rate),
+        t60=estimate_t60(rir), drr=estimate_drr(rir),
+        edt=estimate_edt(rir), cte=estimate_cte(rir),
     )
 
 

@@ -97,8 +97,9 @@ class Rir:
 def load_wav(path: str | Path) -> AudioBuffer:
     """Read a RIFF/WAVE file (16-bit PCM or 32-bit IEEE float), first channel only.
 
-    Integer PCM is scaled by 1/32768. Raises FileNotFoundError, WavFormatError,
-    or UnsupportedEncodingError so callers can tell the failure modes apart.
+    Integer PCM is scaled by 1/32768. Raises FileNotFoundError, WavFormatError
+    (also for a partial trailing frame or a NaN/Inf sample), or
+    UnsupportedEncodingError so callers can tell the failure modes apart.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -138,16 +139,17 @@ def load_wav(path: str | Path) -> AudioBuffer:
             f"{path}: unsupported encoding (format={audio_format}, bits={bits}); "
             "only 16-bit PCM and 32-bit IEEE float are readable"
         )
-    if len(payload) % (bits // 8):
+    if len(payload) % (bits // 8 * n_channels):
         raise WavFormatError(f"{path}: data chunk of {len(payload)} bytes is not a "
-                             f"whole number of {bits}-bit samples")
-
-    raw = np.frombuffer(payload, dtype=dtype)
-    frames = raw.size // n_channels
-    if frames == 0:
+                             f"whole number of {n_channels}-channel {bits}-bit frames")
+    if not payload:
         raise WavFormatError(f"{path}: empty data chunk")
-    samples = raw[: frames * n_channels].reshape(frames, n_channels)[:, 0]
-    return AudioBuffer(samples.astype(np.float32) * scale, sample_rate)
+
+    samples = np.frombuffer(payload, dtype=dtype).reshape(-1, n_channels)[:, 0]
+    try:
+        return AudioBuffer(samples.astype(np.float32) * scale, sample_rate)
+    except ValueError as exc:  # NaN or Inf in a float payload
+        raise WavFormatError(f"{path}: {exc}") from exc
 
 
 def save_wav(buffer: AudioBuffer, path: str | Path) -> None:

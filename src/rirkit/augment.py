@@ -8,8 +8,10 @@ sqrt(P_signal / (snr * P_noise)) for a requested linear power-ratio snr
 would clip, the whole waveform is rescaled and the factor recorded, leaving
 the internal SNR untouched.
 
+Speech and noise are resampled to RIR_RATE (16 kHz), the rate of every RIR.
 Each utterance derives its own rng from (global seed, utterance id), so
-results do not depend on processing order or worker count.
+results do not depend on processing order or worker count. An utterance id
+names its output WAV, so it must be a bare file name, unique in the manifest.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -34,10 +38,10 @@ log = logging.getLogger(__name__)
 class AugmentSpec:
     snr_range: tuple[float, float] = (10.0, 100.0)
     rng_seed: int = 0
-    sample_rate: int = RIR_RATE
     snr_in_db: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "snr_range", tuple(self.snr_range))
         lo, hi = self.snr_range
         if not (0 < lo <= hi) and not self.snr_in_db:
             raise ValueError("snr_range must satisfy 0 < lo <= hi")
@@ -58,19 +62,11 @@ class MixRecord:
     out_path: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"utt_id": self.utt_id, "clean_path": self.clean_path,
-             "rir_id": self.rir_id, "noise_id": self.noise_id, "snr": self.snr,
-             "k": self.k, "alpha": self.alpha, "rescale": self.rescale,
-             "out_path": self.out_path}
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, line: str) -> "MixRecord":
-        d = json.loads(line)
-        return cls(d["utt_id"], d["clean_path"], d["rir_id"], d["noise_id"],
-                   float(d["snr"]), int(d["k"]), float(d["alpha"]),
-                   float(d["rescale"]), d["out_path"])
+        return cls(**json.loads(line))
 
 
 def looped_noise(noise: AudioBuffer, k: int, length: int) -> AudioBuffer | None:
@@ -157,9 +153,9 @@ def _utt_rng(global_seed: int, utt_id: str) -> np.random.Generator:
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
-def _load_at_rate(path: str, rate: int) -> AudioBuffer:
+def _load_at_rir_rate(path: str) -> AudioBuffer:
     buf = load_wav(path)
-    return resample(buf, rate) if buf.sample_rate != rate else buf
+    return resample(buf, RIR_RATE) if buf.sample_rate != RIR_RATE else buf
 
 
 def augment_corpus(
@@ -173,8 +169,10 @@ def augment_corpus(
     """Mix every clean utterance with a random RIR, noise, SNR, and offset.
 
     Per-utterance failures are logged and collected rather than aborting the
-    whole job. Returns (records sorted by utt_id, failures as (utt_id, error)).
-    Also writes the output WAVs and manifest.jsonl into out_dir.
+    whole job; an utt_id that is not a bare file name, or that repeats, is such
+    a failure and writes no file. Returns (records sorted by utt_id, failures
+    as (utt_id, error)). Also writes the output WAVs and manifest.jsonl into
+    out_dir.
     """
     from .audio import to_rir
 
@@ -185,9 +183,14 @@ def augment_corpus(
 
     rir_cache: dict[str, Rir] = {}
     noise_cache: dict[str, AudioBuffer] = {}
+    id_counts = Counter(utt_id for utt_id, _ in clean_manifest)
 
     def one(item: tuple[str, str]) -> MixRecord:
         utt_id, clean_path = item
+        if utt_id in ("", ".", "..") or "/" in utt_id or os.sep in utt_id:
+            raise ValueError(f"utt_id {utt_id!r} is not a bare file name")
+        if id_counts[utt_id] > 1:
+            raise ValueError(f"utt_id {utt_id!r} repeats in the clean manifest")
         rng = _utt_rng(spec.rng_seed, utt_id)
         rir_entry = rir_pool.entries[int(rng.integers(len(rir_pool.entries)))]
         noise_entry = noise_pool.entries[int(rng.integers(len(noise_pool.entries)))]
@@ -195,12 +198,12 @@ def augment_corpus(
         snr = float(rng.uniform(lo, hi))
         linear_snr = 10.0 ** (snr / 10.0) if spec.snr_in_db else snr
 
-        clean = _load_at_rate(clean_path, spec.sample_rate)
+        clean = _load_at_rir_rate(clean_path)
         if rir_entry.id not in rir_cache:
             rir_cache[rir_entry.id] = to_rir(load_wav(rir_entry.path))
         rir = rir_cache[rir_entry.id]
         if noise_entry.id not in noise_cache:
-            noise_cache[noise_entry.id] = _load_at_rate(noise_entry.path, spec.sample_rate)
+            noise_cache[noise_entry.id] = _load_at_rir_rate(noise_entry.path)
         noise = noise_cache[noise_entry.id]
         k = int(rng.integers(len(noise)))
 

@@ -2,7 +2,10 @@
 
 Subcommands: analyze, train, generate, augment, split, compose, validate.
 Global flags --seed / --out-dir / --threads sit before the subcommand;
---seed overrides any rng_seed found in a JSON config file.
+--seed overrides any rng_seed found in a JSON config file. Exit codes: 0 on
+success, 1 when some items (RIRs, utterances, pool entries) failed, 2 on bad
+input (a missing or malformed file, config or argument), reported as one
+`error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -71,17 +74,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path: Path | None) -> dict:
-    return json.loads(path.read_text()) if path is not None else {}
+    cfg = json.loads(path.read_text()) if path is not None else {}
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    return cfg
+
+
+def _from_config(cls, cfg: dict, path: Path | None):
+    """cls(**cfg), reporting an unknown key or a mistyped value as bad input."""
+    try:
+        return cls(**cfg)
+    except TypeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:
-    rows = []
+    rows, failures = [], []
     for path in args.rirs:
-        rir = to_rir(load_wav(path))
-        rows.append((path.stem, acoustics.analyze(rir)))
+        try:
+            rows.append((path.stem, acoustics.analyze(to_rir(load_wav(path)))))
+        except (OSError, ValueError) as exc:  # per-RIR isolation
+            failures.append((path, exc))
     for rid, p in rows:
         print(f"{rid}: t60={p.t60:.3f}s drr={p.drr:.2f}dB edt={p.edt:.3f}s "
               f"cte={p.cte:.2f}dB")
+    for path, exc in failures:
+        print(f"failed {path}: {exc}", file=sys.stderr)
     if args.csv:
         acoustics.write_params_csv(args.csv, rows)
         print(f"wrote {args.csv}")
@@ -90,15 +108,17 @@ def _cmd_analyze(args) -> int:
         hists = sampler.build_histograms([p for _, p in rows], cfg)
         sampler.save_histograms(hists, args.hist)
         print(f"wrote {args.hist}")
-    return 0
+    return 1 if failures else 0
 
 
 def _cmd_train(args) -> int:
     cfg = _load_json(args.config)
+    if "pool" not in cfg:
+        raise ValueError(f"{args.config}: train config needs a pool")
     pool = corpus.read_pool_csv(cfg.pop("pool"))
     if args.seed is not None:
         cfg["rng_seed"] = args.seed
-    config = TrainConfig(**cfg)
+    config = _from_config(TrainConfig, cfg, args.config)
     dataset = [to_rir(load_wav(e.path)) for e in pool.entries]
     result = train(dataset, config, out_dir=args.out_dir)
     last = result.log[-1]
@@ -115,7 +135,7 @@ def _cmd_generate(args) -> int:
     cfg = _load_json(args.config)
     if args.seed is not None:
         cfg["rng_seed"] = args.seed
-    config = sampler.SamplerConfig(**cfg)
+    config = _from_config(sampler.SamplerConfig, cfg, args.config)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         rirs, report = sampler.generate_constrained(model, hists, args.n, config)
@@ -133,11 +153,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_augment(args) -> int:
     spec_dict = _load_json(args.spec)
-    if "snr_range" in spec_dict:
-        spec_dict["snr_range"] = tuple(spec_dict["snr_range"])
     if args.seed is not None:
         spec_dict["rng_seed"] = args.seed
-    spec = augment.AugmentSpec(**spec_dict)
+    spec = _from_config(augment.AugmentSpec, spec_dict, args.spec)
     manifest = augment.read_clean_manifest(args.clean)
     rirs = corpus.read_pool_csv(args.rirs)
     noise = corpus.read_pool_csv(args.noise)
@@ -153,11 +171,10 @@ def _cmd_augment(args) -> int:
 
 def _cmd_split(args) -> int:
     pool = corpus.read_pool_csv(args.pool)
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    if len(sizes) != 3:
-        print("error: --sizes needs exactly three comma-separated counts",
-              file=sys.stderr)
-        return 2
+    sizes = args.sizes.split(",")
+    if len(sizes) != 3 or not all(s.strip().isdigit() for s in sizes):
+        raise ValueError(f"--sizes needs three comma-separated counts, got {args.sizes!r}")
+    sizes = tuple(int(s) for s in sizes)
     seed = args.seed if args.seed is not None else 0
     parts = corpus.split(pool, corpus.SplitSpec(sizes, seed))
     args.out_dir.mkdir(parents=True, exist_ok=True)
@@ -174,9 +191,8 @@ def _cmd_compose(args) -> int:
     parts = []
     for item in args.pool:
         path, _, count = item.rpartition(":")
-        if not path:
-            print(f"error: --pool needs CSV:COUNT, got {item!r}", file=sys.stderr)
-            return 2
+        if not path or not count.strip().isdigit():
+            raise ValueError(f"--pool needs CSV:COUNT, got {item!r}")
         parts.append((corpus.read_pool_csv(path), int(count)))
     seed = args.seed if args.seed is not None else 0
     composed = corpus.compose_pool(parts, rng_seed=seed)
@@ -212,7 +228,11 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:  # a missing or malformed input
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@
 Layout: magic bytes "IRGAN01", a little-endian uint32 header length, a JSON
 header (d, step, seed, latent distribution, shuffle radius, and the ordered
 parameter manifest with shapes), then raw little-endian float32 weight blobs
-in manifest order (generator first, then critic). Loading refuses a header
-whose manifest differs from the model that d builds, so a checkpoint either
-restores every tensor or does not load.
+in manifest order (generator first, then critic). Loading builds a float32
+model and refuses a header whose manifest differs from the one that d builds,
+or whose latent distribution or shuffle radius that model cannot use, so a
+checkpoint either restores every tensor or does not load.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def save_checkpoint(model, path: str | Path) -> None:
                 f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path: str | Path, dtype=np.float32):
+def load_checkpoint(path: str | Path):
     from .nets import Critic, GanModel, Generator
 
     data = Path(path).read_bytes()
@@ -70,16 +71,21 @@ def load_checkpoint(path: str | Path, dtype=np.float32):
     d, step, seed = (header.get(key) for key in ("d", "step", "seed"))
     if not all(type(v) is int for v in (d, step, seed)) or d < 1:
         raise CheckpointError(f"{path}: header needs integers d >= 1, step and seed")
+    latent_dist = header.get("latent_dist", "uniform")
+    radius = header.get("shuffle_radius", 2)
+    if latent_dist not in ("uniform", "gaussian"):
+        raise CheckpointError(f"{path}: unknown latent distribution {latent_dist!r}")
+    if type(radius) is not int or radius < 0:
+        raise CheckpointError(f"{path}: shuffle radius must be an integer >= 0")
 
     rng = np.random.default_rng(0)  # weights are overwritten below
     model = GanModel(
-        generator=Generator(d, rng=rng, dtype=dtype),
-        critic=Critic(d, shuffle_radius=int(header.get("shuffle_radius", 2)),
-                      rng=rng, dtype=dtype),
+        generator=Generator(d, rng=rng),
+        critic=Critic(d, shuffle_radius=radius, rng=rng),
         d=d,
         step=step,
         seed=seed,
-        latent_dist=header.get("latent_dist", "uniform"),
+        latent_dist=latent_dist,
     )
     manifest = _manifest(model)
     if header.get("params") != manifest:

@@ -95,33 +95,34 @@ def clip_weights(net: Critic, c: float) -> None:
         np.clip(arr, -c, c, out=arr)
 
 
+_RMSPROP_DECAY = 0.9
+_RMSPROP_EPS = 1e-8
+
+
 class RMSProp:
     """Per-parameter squared-gradient running average (decay 0.9, eps 1e-8)."""
 
-    def __init__(self, params: list[np.ndarray], lr: float,
-                 decay: float = 0.9, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.params = params
         self.lr = lr
-        self.decay = decay
-        self.eps = eps
         self.cache = [np.zeros_like(p, dtype=np.float64) for p in params]
 
     def step(self, grads: list[np.ndarray]) -> None:
         for p, g, v in zip(self.params, grads, self.cache):
             g64 = g.astype(np.float64)
-            v *= self.decay
-            v += (1.0 - self.decay) * g64 * g64
-            p -= (self.lr * g64 / (np.sqrt(v) + self.eps)).astype(p.dtype)
+            v *= _RMSPROP_DECAY
+            v += (1.0 - _RMSPROP_DECAY) * g64 * g64
+            p -= (self.lr * g64 / (np.sqrt(v) + _RMSPROP_EPS)).astype(p.dtype)
 
 
-def _as_matrix(dataset: Sequence[Rir] | np.ndarray, dtype) -> np.ndarray:
+def _as_matrix(dataset: Sequence[Rir] | np.ndarray) -> np.ndarray:
     if isinstance(dataset, np.ndarray):
         data = dataset
     else:
         data = np.stack([r.samples for r in dataset])
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("dataset must be a non-empty collection of RIR vectors")
-    return data.astype(dtype)
+    return data.astype(np.float32)
 
 
 def write_log_csv(log: Sequence[LogRow], path: str | Path) -> None:
@@ -136,19 +137,19 @@ def write_log_csv(log: Sequence[LogRow], path: str | Path) -> None:
 
 
 def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
-          out_dir: str | Path | None = None, dtype=np.float32) -> TrainResult:
-    """Run the alternating WGAN loop and return the trained model plus log.
+          out_dir: str | Path | None = None) -> TrainResult:
+    """Run the alternating WGAN loop in float32; return the trained model and log.
 
     With out_dir set, checkpoints land there every checkpoint_every generator
     steps (plus a final one) along with training_log.csv.
     """
-    data = _as_matrix(dataset, dtype)
+    data = _as_matrix(dataset)
     n_data = data.shape[0]
     b = config.batch_size
     rng = np.random.default_rng(config.rng_seed)
 
-    gen = Generator(config.d, rng=rng, dtype=dtype)
-    critic = Critic(config.d, shuffle_radius=config.shuffle_radius, rng=rng, dtype=dtype)
+    gen = Generator(config.d, rng=rng)
+    critic = Critic(config.d, shuffle_radius=config.shuffle_radius, rng=rng)
     g_opt = RMSProp(gen.param_arrays(), config.learning_rate)
     c_opt = RMSProp(critic.param_arrays(), config.learning_rate)
 
@@ -159,8 +160,8 @@ def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
     result = TrainResult(model=GanModel(gen, critic, config.d, 0, config.rng_seed,
                                         config.latent_dist))
     # gradient of the critic loss wrt scores of the combined [real | fake] batch
-    gs_critic = np.concatenate([np.full(b, -1.0 / b), np.full(b, 1.0 / b)]).astype(dtype)
-    gs_gen = np.full(b, -1.0 / b, dtype=dtype)
+    gs_critic = np.repeat(np.float32([-1.0 / b, 1.0 / b]), b)
+    gs_gen = np.full(b, -1.0 / b, dtype=np.float32)
 
     for step in range(1, config.steps + 1):
         c_loss = w_est = 0.0

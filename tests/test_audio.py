@@ -29,6 +29,14 @@ def pcm16_wav_bytes(samples, rate, channels=1):
     ) + payload
 
 
+def float_wav_bytes(samples, rate):
+    payload = np.asarray(samples, dtype="<f4").tobytes()
+    return struct.pack(
+        "<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(payload), b"WAVE", b"fmt ", 16,
+        3, 1, rate, rate * 4, 4, 32, b"data", len(payload),
+    ) + payload
+
+
 class TestLoadWav:
     def test_pcm16_scaling(self, tmp_path):
         p = tmp_path / "a.wav"
@@ -94,6 +102,52 @@ class TestLoadWav:
         p.write_bytes(bytes(raw))
         with pytest.raises(WavFormatError):
             load_wav(p)
+
+    def test_partial_multichannel_frame(self, tmp_path):
+        # 2-channel 16-bit data chunk of 3 samples: one frame and a half
+        p = tmp_path / "half.wav"
+        p.write_bytes(pcm16_wav_bytes([100, -100, 200], 16000, channels=2))
+        with pytest.raises(WavFormatError):
+            load_wav(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_sample(self, tmp_path, bad):
+        p = tmp_path / "nan.wav"
+        p.write_bytes(float_wav_bytes([0.25, bad, -0.5], 16000))
+        with pytest.raises(WavFormatError):
+            load_wav(p)
+
+
+PCM16_WAV = pcm16_wav_bytes([0, 1000, -1000, 32767, -32768, 5, 6, 7], 8000)
+FLOAT_WAV = float_wav_bytes([0.0, 0.5, -0.5, 1.0, -1.0, 0.125], 16000)
+
+
+class TestLoadWavFuzz:
+    """One replaced byte anywhere in a valid file: the load succeeds or
+    raises WavFormatError, never another exception."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "m.wav"
+
+    def load_mutated(self, path, raw, pos, value):
+        data = bytearray(raw)
+        data[pos] = value
+        path.write_bytes(bytes(data))
+        try:
+            load_wav(path)
+        except WavFormatError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(pos=st.integers(0, len(PCM16_WAV) - 1), value=st.integers(0, 255))
+    def test_pcm16_byte_replaced(self, path, pos, value):
+        self.load_mutated(path, PCM16_WAV, pos, value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pos=st.integers(0, len(FLOAT_WAV) - 1), value=st.integers(0, 255))
+    def test_float_byte_replaced(self, path, pos, value):
+        self.load_mutated(path, FLOAT_WAV, pos, value)
 
 class TestSaveWav:
     def test_round_trip_simple(self, tmp_path):

@@ -218,6 +218,21 @@ class TestAugmentCorpus:
         assert len(records) == len(clean) - 1
         assert len(failures) == 1 and failures[0][0] == "uttXX"
 
+    def test_unsafe_or_repeated_ids_fail_without_writing(self, tmp_path):
+        clean, rirs, noises = make_corpus(tmp_path, n_utts=2)
+        path = clean[0][1]
+        bad = ["", ".", "..", "../escaped", "sub/name", "dup", "dup"]
+        rows = [(utt_id, path) for utt_id in bad] + [clean[1]]
+        out = tmp_path / "deep" / "out"
+        records, failures = augment_corpus(rows, rirs, noises,
+                                           AugmentSpec(rng_seed=1), out)
+        assert [r.utt_id for r in records] == [clean[1][0]]
+        assert sorted(u for u, _ in failures) == sorted(bad)
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.jsonl",
+                                                         f"{clean[1][0]}.wav"]
+        assert not (tmp_path / "deep" / "escaped.wav").exists()
+        assert len(read_manifest(out / "manifest.jsonl")) == 1
+
     def test_snr_db_interpretation(self, tmp_path):
         clean, rirs, noises = make_corpus(tmp_path, n_utts=1)
         spec = AugmentSpec(snr_range=(20.0, 20.0), rng_seed=3, snr_in_db=True)
@@ -255,3 +270,5 @@ def test_spec_validation():
         AugmentSpec(snr_range=(0.0, 10.0))
     with pytest.raises(ValueError):
         AugmentSpec(snr_range=(5.0, 1.0))
+    with pytest.raises(TypeError):  # every utterance is mixed at RIR_RATE
+        AugmentSpec(sample_rate=8000)

@@ -6,15 +6,21 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rirkit.gan import CheckpointError, Critic, GanModel, Generator, load_checkpoint, save_checkpoint
 from rirkit.gan.checkpoint import MAGIC
 
 
+def _d1_model():
+    return GanModel(Generator(1, rng=np.random.default_rng(1)),
+                    Critic(1, rng=np.random.default_rng(2)), d=1, step=3, seed=4)
+
+
 @pytest.fixture()
 def saved(tmp_path):
-    model = GanModel(Generator(1, rng=np.random.default_rng(1)),
-                     Critic(1, rng=np.random.default_rng(2)), d=1, step=3, seed=4)
+    model = _d1_model()
     path = tmp_path / "model.gan"
     save_checkpoint(model, path)
     return model, path
@@ -92,3 +98,39 @@ def test_bad_integer_fields_refused(saved, key, value):
     join(path, header, body)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("latent_dist", "cauchy"),
+                                        ("shuffle_radius", -3),
+                                        ("shuffle_radius", "two")])
+def test_unusable_model_fields_refused(saved, key, value):
+    _, path = saved
+    header, body = split(path)
+    header[key] = value
+    join(path, header, body)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def d1_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.gan"
+    save_checkpoint(_d1_model(), path)
+    data = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", data, len(MAGIC))
+    return path, data, len(MAGIC) + 4 + hlen
+
+
+@settings(max_examples=100, deadline=None)
+@given(where=st.floats(0.0, 1.0, exclude_max=True), value=st.integers(0, 255))
+def test_header_byte_replaced(d1_file, where, value):
+    # one byte of the magic, length prefix or JSON header: a single digit of d
+    # can change, so any model built stays small
+    path, data, header_end = d1_file
+    mutated = bytearray(data)
+    mutated[int(where * header_end)] = value
+    path.write_bytes(bytes(mutated))
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass

@@ -126,3 +126,58 @@ def test_augment_failure_exit_code(workspace, tmp_path):
                "--rirs", str(workspace / "rirs.csv"),
                "--noise", str(workspace / "noise.csv")])
     assert rc == 1
+
+
+def test_analyze_reports_failed_rirs_and_carries_on(workspace, tmp_path, capsys):
+    garbage = tmp_path / "garbage.wav"
+    garbage.write_bytes(b"not a wav at all")
+    delta = np.zeros(16384, dtype=np.float32)
+    delta[0] = 1.0  # its decay is instantaneous, so T60 cannot be estimated
+    save_wav(AudioBuffer(delta, 16000), tmp_path / "delta.wav")
+    good = workspace / "rir_0.wav"
+    rc = main(["analyze", str(garbage), str(good), str(tmp_path / "delta.wav"),
+               "--csv", str(tmp_path / "params.csv")])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert "rir_0: t60=" in out
+    assert "failed" in err and "garbage.wav" in err and "delta.wav" in err
+    rows = (tmp_path / "params.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("rir_0,")
+
+
+def _config(tmp, doc):
+    path = tmp / "config.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+BAD_INPUTS = {
+    "missing pool file": lambda ws, tmp: ["validate", "--pool", str(tmp / "missing.csv")],
+    "missing config file": lambda ws, tmp: ["train", "--config", str(tmp / "missing.json")],
+    "config not an object": lambda ws, tmp: ["train", "--config", _config(tmp, [1, 2])],
+    "config not json": lambda ws, tmp: ["train", "--config", _config(tmp, "{pool")],
+    "train config without pool": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"steps": 1})],
+    "unknown train key": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1,
+                                           "lr": 0.1})],
+    "removed sample_rate key": lambda ws, tmp: [
+        "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
+        "--noise", str(ws / "noise.csv"), "--spec", _config(tmp, {"sample_rate": 8000})],
+    "sizes not three": lambda ws, tmp: [
+        "split", "--pool", str(ws / "rirs.csv"), "--sizes", "4,2"],
+    "sizes not counts": lambda ws, tmp: [
+        "split", "--pool", str(ws / "rirs.csv"), "--sizes", "4,x,1"],
+    "compose count not a number": lambda ws, tmp: [
+        "compose", "--pool", f"{ws / 'rirs.csv'}:x"],
+    "compose without count": lambda ws, tmp: ["compose", "--pool", "5"],
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
+    argv = BAD_INPUTS[case](workspace, tmp_path)
+    assert main(["--out-dir", str(tmp_path / "out"), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
