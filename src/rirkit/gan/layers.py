@@ -7,9 +7,15 @@ the same offset, so analysis and synthesis stacks mirror each other.
 
 All four convolution passes run on two kernels, which are each other's
 adjoint: ``_gather`` (SAME pad, then one row per stride-s window) serves
-``Conv1d.forward`` and ``ConvTranspose1d.backward``; ``_overlap_add`` (scatter
-each window back with stride s, then crop the padding) serves
-``ConvTranspose1d.forward`` and ``Conv1d.backward``.
+``Conv1d.forward`` and ``ConvTranspose1d.backward``; ``_overlap_add`` (add
+each window back at stride s, then crop the padding) serves
+``ConvTranspose1d.forward`` and ``Conv1d.backward``. The overlap-add works in
+s-wide phase blocks (Odena et al., "Deconvolution and Checkerboard
+Artifacts", 2016): the output is viewed as rows of s samples, and block m adds
+taps m*s .. m*s+s-1 of every window into rows m .. m+t-1 at once, so k taps
+take ceil(k/s) contiguous adds instead of k strided ones, while every output
+sample still sums its taps in ascending order (bit-identical to a tap-by-tap
+loop).
 
 Gradients are assigned (not accumulated) on each backward call; every layer
 keeps the forward activations it needs, so backward without a prior forward
@@ -41,13 +47,15 @@ def _gather(x: np.ndarray, k: int, s: int) -> np.ndarray:
 
 def _overlap_add(contrib: np.ndarray, s: int, dtype) -> np.ndarray:
     """(b, t, k, c) window contributions -> (b, t*s, c): add window i at
-    offset i*s, tap by tap in j order, then crop the SAME padding."""
+    offset i*s, one s-tap phase block at a time, then crop the SAME padding."""
     b, t, k, c = contrib.shape
-    full = np.zeros((b, (t - 1) * s + k, c), dtype=dtype)
-    for j in range(k):
-        full[:, j : j + t * s : s, :] += contrib[:, :, j, :]
+    nb = -(-k // s)
+    full = np.zeros((b, t + nb - 1, s, c), dtype=dtype)
+    for m in range(nb):
+        w = min(s, k - m * s)
+        full[:, m : m + t, :w, :] += contrib[:, :, m * s : m * s + w, :]
     crop = (k - s) // 2
-    return full[:, crop : crop + t * s, :]
+    return full.reshape(b, (t + nb - 1) * s, c)[:, crop : crop + t * s, :]
 
 
 class Layer:
@@ -120,8 +128,9 @@ class Conv1d(_Conv):
             gw = v.T @ g2
             self.grads["W"] = gw.reshape(self.c_in, k, self.c_out).transpose(1, 0, 2)
             self.grads["b"] = g2.sum(axis=0)
-        contrib = (g2 @ self._wm().T).reshape(b, t_out, self.c_in, k)
-        return _overlap_add(contrib.transpose(0, 1, 3, 2), self.stride, gy.dtype)
+        wk = self.params["W"].reshape(k * self.c_in, self.c_out)
+        contrib = (g2 @ wk.T).reshape(b, t_out, k, self.c_in)
+        return _overlap_add(contrib, self.stride, gy.dtype)
 
 
 class ConvTranspose1d(_Conv):
@@ -202,8 +211,10 @@ class PhaseShuffle(Layer):
     """Shift feature maps in time by a small integer, reflecting at the edges.
 
     The shift is drawn by the caller (one draw per application, shared across
-    the batch); shift 0 is the identity. Linear, so backward just scatters
-    gradients through the cached index map.
+    the batch); shift 0 is the identity and |shift| must be below the length.
+    Linear, so backward copies the gradient back by the shift and then adds
+    the |shift| reflected edge samples, reversed, onto the samples they
+    were read from.
     """
 
     def __init__(self, radius: int):
@@ -211,6 +222,8 @@ class PhaseShuffle(Layer):
         self.radius = radius
 
     def index_map(self, t: int, shift: int) -> np.ndarray:
+        if abs(shift) > t - 1:
+            raise ValueError(f"shift {shift} does not fit a length of {t}")
         idx = np.abs(np.arange(t) - shift)
         over = idx > t - 1
         idx[over] = 2 * (t - 1) - idx[over]
@@ -218,11 +231,19 @@ class PhaseShuffle(Layer):
 
     def forward(self, x, shift: int = 0):
         idx = self.index_map(x.shape[1], shift)
-        self._ctx = (idx, x.shape[1])
+        self._ctx = shift
         return x[:, idx, :]
 
     def backward(self, gy, param_grads=True):
-        idx, t = self._require_ctx()
-        gx = np.zeros((gy.shape[0], t, gy.shape[2]), dtype=gy.dtype)
-        np.add.at(gx, (slice(None), idx), gy)
+        shift = self._require_ctx()
+        t, a = gy.shape[1], abs(shift)
+        gx = np.empty(gy.shape, dtype=gy.dtype)
+        if shift >= 0:  # y[a + i] = x[i]; y[a - 1 - i] = x[1 + i] for i < a
+            gx[:, : t - a] = gy[:, a:]
+            gx[:, t - a :] = 0
+            gx[:, 1 : a + 1] += gy[:, :a][:, ::-1]
+        else:  # y[i] = x[a + i]; y[t - 1 - i] = x[t - 1 - a + i] for i < a
+            gx[:, a:] = gy[:, : t - a]
+            gx[:, :a] = 0
+            gx[:, t - 1 - a : t - 1] += gy[:, t - a :][:, ::-1]
         return gx

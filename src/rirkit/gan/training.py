@@ -10,6 +10,7 @@ Given a seed (and thread count), training is bit-reproducible.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -45,11 +46,22 @@ class TrainConfig:
     checkpoint_every: int = 100
 
     def __post_init__(self):
+        for name in ("steps", "batch_size", "n_critic", "d", "rng_seed",
+                     "shuffle_radius", "checkpoint_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("learning_rate", "clip_c"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
         if self.steps < 1 or self.batch_size < 1 or self.n_critic < 1 or self.d < 1:
             raise ValueError("steps, batch_size, n_critic and d must all be >= 1")
-        if self.clip_c <= 0:
+        if self.shuffle_radius < 0:
+            raise ValueError("shuffle_radius must be >= 0")
+        if not self.clip_c > 0:
             raise ValueError("clip_c must be > 0")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
 
 

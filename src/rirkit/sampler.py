@@ -270,11 +270,25 @@ def save_histograms(hists: ParamHistograms, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2))
 
 
+def _field(doc, *keys):
+    """doc[keys[0]][keys[1]]..., or ValueError naming the first missing key."""
+    for i, key in enumerate(keys):
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"histogram JSON has no {'.'.join(keys[: i + 1])}")
+        doc = doc[key]
+    return doc
+
+
 def load_histograms(path: str | Path) -> ParamHistograms:
-    doc = json.loads(Path(path).read_text())
-    return ParamHistograms(
-        **{name: Histogram(np.array(doc["params"][name]["edges"]),
-                           np.array(doc["params"][name]["counts"]))
-           for name in PARAM_NAMES},
-        total_count=int(doc["total_count"]),
-    )
+    """Read save_histograms' JSON; a missing or malformed field is a
+    ValueError naming the path."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        return ParamHistograms(
+            **{name: Histogram(np.array(_field(doc, "params", name, "edges")),
+                               np.array(_field(doc, "params", name, "counts")))
+               for name in PARAM_NAMES},
+            total_count=int(_field(doc, "total_count")),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -6,6 +6,7 @@ import pytest
 from rirkit.audio import AudioBuffer, load_wav, save_wav
 from rirkit.cli import main
 from rirkit.corpus import PoolEntry, RirPool, write_pool_csv
+from rirkit.gan import Critic, GanModel, Generator, save_checkpoint
 
 from conftest import noise_rir
 
@@ -151,6 +152,12 @@ def _config(tmp, doc):
     return str(path)
 
 
+def _model(tmp):
+    path = tmp / "model.gan"
+    save_checkpoint(GanModel(Generator(1), Critic(1), d=1, step=0, seed=0), path)
+    return str(path)
+
+
 BAD_INPUTS = {
     "missing pool file": lambda ws, tmp: ["validate", "--pool", str(tmp / "missing.csv")],
     "missing config file": lambda ws, tmp: ["train", "--config", str(tmp / "missing.json")],
@@ -161,6 +168,13 @@ BAD_INPUTS = {
     "unknown train key": lambda ws, tmp: [
         "train", "--config", _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1,
                                            "lr": 0.1})],
+    "train steps not an integer": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1.5})],
+    "hist without params": lambda ws, tmp: [
+        "generate", "--model", _model(tmp), "--hist", _config(tmp, {}), "-n", "1"],
+    "hist without a parameter": lambda ws, tmp: [
+        "generate", "--model", _model(tmp), "--hist", _config(tmp, {"params": {}}),
+        "-n", "1"],
     "removed sample_rate key": lambda ws, tmp: [
         "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
         "--noise", str(ws / "noise.csv"), "--spec", _config(tmp, {"sample_rate": 8000})],

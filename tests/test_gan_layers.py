@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import rirkit.gan.layers as layers
+from rirkit.gan import TrainConfig, save_checkpoint, train
 from rirkit.gan.gradcheck import numeric_gradient, relative_error
 from rirkit.gan.layers import (
     Conv1d,
@@ -114,6 +116,13 @@ class TestShapes:
         y = ps.forward(x, -2)[0, :, 0]
         np.testing.assert_array_equal(y, [2, 3, 4, 5, 4, 3])
 
+    @pytest.mark.parametrize("t, shift", [(2, 3), (2, 2), (2, -2), (3, 3), (1, 1)])
+    def test_phase_shuffle_rejects_shift_beyond_length(self, t, shift):
+        ps = PhaseShuffle(2)
+        with pytest.raises(ValueError):
+            ps.index_map(t, shift)
+        with pytest.raises(ValueError):
+            ps.forward(np.zeros((1, t, 1)), shift)
 
 
 class TestKernelReferences:
@@ -156,6 +165,101 @@ class TestKernelReferences:
         g = RNG.standard_normal((2, 30, 3))
         np.testing.assert_array_equal(ps.forward(x, 0), x)
         np.testing.assert_array_equal(ps.backward(g), g)
+
+
+# Reference kernels: the tap-by-tap overlap-add, Conv1d.backward through a
+# transposed view, and the np.add.at scatter of PhaseShuffle.backward. The
+# layers must give the same bits, because each output sums the same terms in
+# the same order.
+
+def _ref_overlap_add(contrib, s, dtype):
+    """Tap-by-tap: k strided adds in ascending tap order, then the crop."""
+    b, t, k, c = contrib.shape
+    full = np.zeros((b, (t - 1) * s + k, c), dtype=dtype)
+    for j in range(k):
+        full[:, j : j + t * s : s, :] += contrib[:, :, j, :]
+    crop = (k - s) // 2
+    return full[:, crop : crop + t * s, :]
+
+
+def _ref_conv1d_backward(self, gy, param_grads=True):
+    """Conv1d.backward with channel-major contributions behind a transposed view."""
+    v = self._require_ctx()
+    b, t_out, _ = gy.shape
+    k = self.kernel
+    g2 = gy.reshape(b * t_out, self.c_out)
+    if param_grads:
+        gw = v.T @ g2
+        self.grads["W"] = gw.reshape(self.c_in, k, self.c_out).transpose(1, 0, 2)
+        self.grads["b"] = g2.sum(axis=0)
+    contrib = (g2 @ self._wm().T).reshape(b, t_out, self.c_in, k)
+    return _ref_overlap_add(contrib.transpose(0, 1, 3, 2), self.stride, gy.dtype)
+
+
+def _ref_phase_shuffle_backward(self, gy, param_grads=True):
+    """Scatter-add through the forward index map."""
+    idx = self.index_map(gy.shape[1], self._require_ctx())
+    gx = np.zeros(gy.shape, dtype=gy.dtype)
+    np.add.at(gx, (slice(None), idx), gy)
+    return gx
+
+
+class TestKernelEquivalence:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, s", [
+        ((16, 4096, 25, 1), 4),   # train-d4: critic conv1 input gradient
+        ((16, 1024, 25, 4), 4),   # train-d4: critic conv2 / generator tconv4
+        ((8, 256, 25, 8), 4),     # train-d4: generator tconv3
+        ((1, 16, 25, 512), 4),    # d=64: generator tconv1
+        ((1, 1024, 25, 64), 4),   # d=64: generator tconv4
+        ((3, 40, 11, 5), 3),      # stride that does not divide the kernel
+        ((2, 30, 8, 3), 4),       # stride that divides the kernel
+    ])
+    def test_overlap_add_matches_tap_loop(self, shape, s, dtype):
+        contrib = np.random.default_rng(sum(shape)).standard_normal(shape).astype(dtype)
+        got = layers._overlap_add(contrib, s, dtype)
+        ref = _ref_overlap_add(contrib, s, dtype)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv1d_backward_matches_reference(self, dtype):
+        rng = np.random.default_rng(9)
+        layer = Conv1d(4, 8, kernel=25, stride=4, rng=rng, dtype=dtype)
+        x = rng.standard_normal((8, 1024, 4)).astype(dtype)
+        g = rng.standard_normal((8, 256, 8)).astype(dtype)
+        layer.forward(x)
+        gx = layer.backward(g)
+        grads = dict(layer.grads)
+        ref = _ref_conv1d_backward(layer, g)
+        assert np.array_equal(gx, ref)
+        assert all(np.array_equal(grads[n], layer.grads[n]) for n in grads)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 7, 30])
+    def test_phase_shuffle_backward_matches_scatter(self, t, dtype):
+        ps = PhaseShuffle(2)
+        rng = np.random.default_rng(t)
+        x = rng.standard_normal((2, t, 3)).astype(dtype)
+        g = rng.standard_normal((2, t, 3)).astype(dtype)
+        for shift in range(-(t - 1), t):
+            ps.forward(x, shift)
+            got = ps.backward(g)
+            assert got.dtype == g.dtype
+            assert np.array_equal(got, _ref_phase_shuffle_backward(ps, g)), shift
+
+    def test_training_checkpoint_bytes_match_reference_kernels(self, monkeypatch,
+                                                              tmp_path, toy_rirs):
+        config = TrainConfig(steps=2, batch_size=4, d=1, rng_seed=3, shuffle_radius=2,
+                             checkpoint_every=0)
+        monkeypatch.setattr(layers, "_overlap_add", _ref_overlap_add)
+        monkeypatch.setattr(layers.Conv1d, "backward", _ref_conv1d_backward)
+        monkeypatch.setattr(layers.PhaseShuffle, "backward", _ref_phase_shuffle_backward)
+        save_checkpoint(train(toy_rirs[:16], config).model, tmp_path / "ref.gan")
+        monkeypatch.undo()
+        save_checkpoint(train(toy_rirs[:16], config).model, tmp_path / "new.gan")
+        assert (tmp_path / "ref.gan").read_bytes() == (tmp_path / "new.gan").read_bytes()
+
 
 def _net_fd_check(loss_fn, pairs, max_per_tensor, rng):
     """Primary h, refine kink-suspect entries at the smaller step."""

@@ -210,6 +210,24 @@ class TestTrainLoop:
             TrainConfig(steps=1, clip_c=0.0)
         with pytest.raises(ValueError):
             TrainConfig(steps=1, n_critic=0)
+        with pytest.raises(ValueError):
+            TrainConfig(steps=1, shuffle_radius=-1)
+        with pytest.raises(ValueError):
+            TrainConfig(steps=1, learning_rate=float("nan"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 1.5), ("steps", True), ("batch_size", "8"), ("n_critic", 5.0),
+        ("d", None), ("rng_seed", 0.5), ("shuffle_radius", False),
+        ("checkpoint_every", 1e2), ("learning_rate", "5e-5"), ("clip_c", True),
+        ("clip_c", None),
+    ])
+    def test_config_rejects_mistyped_fields(self, field, value):
+        with pytest.raises(TypeError, match=rf"^{field} must be"):
+            TrainConfig(**{"steps": 1, field: value})
+
+    def test_config_accepts_numpy_scalars(self):
+        cfg = TrainConfig(steps=np.int64(2), learning_rate=np.float32(1e-4), clip_c=1)
+        assert cfg.steps == 2
 
 
 class TestCheckpoint:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,6 +134,33 @@ class TestHistogramPrimitives:
         for name in ("t60", "drr", "edt", "cte"):
             np.testing.assert_allclose(back[name].edges, hists[name].edges)
             np.testing.assert_array_equal(back[name].counts, hists[name].counts)
+
+    @pytest.mark.parametrize("drop, missing", [
+        (("params",), "params"),
+        (("params", "drr"), "params.drr"),
+        (("params", "edt", "edges"), "params.edt.edges"),
+        (("params", "cte", "counts"), "params.cte.counts"),
+        (("total_count",), "total_count"),
+    ])
+    def test_load_names_path_and_missing_key(self, tmp_path, drop, missing):
+        p = tmp_path / "h.json"
+        save_histograms(uniform_hists(), p)
+        doc = json.loads(p.read_text())
+        parent = doc
+        for key in drop[:-1]:
+            parent = parent[key]
+        del parent[drop[-1]]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as err:
+            load_histograms(p)
+        assert str(p) in str(err.value) and missing in str(err.value)
+
+    @pytest.mark.parametrize("doc", ["[]", '{"params": 3}', '{"params": {"t60": []}}'])
+    def test_load_rejects_wrong_shapes(self, tmp_path, doc):
+        p = tmp_path / "h.json"
+        p.write_text(doc)
+        with pytest.raises(ValueError, match="h.json"):
+            load_histograms(p)
 
 
 class _StubGenerator:
