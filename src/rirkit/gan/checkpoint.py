@@ -4,9 +4,10 @@ Layout: magic bytes "IRGAN01", a little-endian uint32 header length, a JSON
 header (d, step, seed, latent distribution, shuffle radius, and the ordered
 parameter manifest with shapes), then raw little-endian float32 weight blobs
 in manifest order (generator first, then critic). Loading builds a float32
-model and refuses a header whose manifest differs from the one that d builds,
-or whose latent distribution or shuffle radius that model cannot use, so a
-checkpoint either restores every tensor or does not load.
+model with zero weights (no random initialisation), copies each blob into its
+tensor in place, and refuses a header whose manifest differs from the one
+that d builds, or whose latent distribution or shuffle radius that model
+cannot use, so a checkpoint either restores every tensor or does not load.
 """
 
 from __future__ import annotations
@@ -78,10 +79,9 @@ def load_checkpoint(path: str | Path):
     if type(radius) is not int or radius < 0:
         raise CheckpointError(f"{path}: shuffle radius must be an integer >= 0")
 
-    rng = np.random.default_rng(0)  # weights are overwritten below
     model = GanModel(
-        generator=Generator(d, rng=rng),
-        critic=Critic(d, shuffle_radius=radius, rng=rng),
+        generator=Generator(d),  # zero weights, filled in place below
+        critic=Critic(d, shuffle_radius=radius),
         d=d,
         step=step,
         seed=seed,
@@ -95,7 +95,7 @@ def load_checkpoint(path: str | Path):
     for entry in manifest:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape))
-        raw = data[pos : pos + 4 * count]
+        raw = memoryview(data)[pos : pos + 4 * count]  # no copy of the blob
         if len(raw) != 4 * count:
             raise CheckpointError(f"{path}: truncated weight blob for {entry}")
         arr = np.frombuffer(raw, dtype="<f4").reshape(shape)

@@ -15,20 +15,19 @@ import numpy as np
 def numeric_gradient(loss_fn: Callable[[], float], arr: np.ndarray,
                      h: float = 1e-4, indices: Sequence[int] | None = None) -> np.ndarray:
     """Central-difference gradient of loss_fn with respect to arr, computed
-    in place by perturbing one element at a time. Returns the full-shape
+    in place by perturbing one element of the live array at a time, whatever
+    its strides. `indices` are C-order flat positions. Returns the full-shape
     gradient (entries outside `indices` are zero when a subset is given)."""
-    flat = arr.ravel()
-    if flat.base is not arr and flat is not arr:  # ravel must alias, not copy
-        raise ValueError("parameter array must be contiguous")
     out = np.zeros(arr.size)
     idxs = range(arr.size) if indices is None else indices
     for i in idxs:
-        orig = flat[i]
-        flat[i] = orig + h
+        at = np.unravel_index(i, arr.shape)
+        orig = arr[at]
+        arr[at] = orig + h
         lp = loss_fn()
-        flat[i] = orig - h
+        arr[at] = orig - h
         lm = loss_fn()
-        flat[i] = orig
+        arr[at] = orig
         out[i] = (lp - lm) / (2.0 * h)
     return out.reshape(arr.shape)
 

@@ -111,17 +111,22 @@ class _Net:
         return [layer.grads[p] for layer in self._layers.values() for p in layer.params]
 
     def set_param(self, layer_name: str, param_name: str, value: np.ndarray) -> None:
+        """Copy value into the live parameter array (cast to its dtype), so
+        its layout and every reference to it, such as an optimizer's, hold."""
         layer = self._layers[layer_name]
         current = layer.params[param_name]
         if current.shape != value.shape:
             raise ValueError(
                 f"{layer_name}.{param_name}: shape {value.shape} != {current.shape}"
             )
-        layer.params[param_name] = value.astype(current.dtype)
+        current[...] = value
 
 
 class Generator(_Net):
-    """(n, 100) latent batch -> (n, 16384) waveforms in (-1, 1)."""
+    """(n, 100) latent batch -> (n, 16384) waveforms in (-1, 1).
+
+    Weights are Glorot-uniform draws from rng; with rng=None they are zero,
+    to be filled (``set_param``, as a checkpoint load does)."""
 
     n_in = LATENT_DIM
     out_shape = (OUTPUT_LENGTH,)
@@ -129,7 +134,6 @@ class Generator(_Net):
     def __init__(self, d: int = 4, rng: np.random.Generator | None = None,
                  dtype=np.float32):
         super().__init__(d, dtype)
-        rng = rng if rng is not None else np.random.default_rng(0)
         widths = [16 * d, 8 * d, 4 * d, 2 * d, d, 1]
         self._add(Dense(LATENT_DIM, 16 * 16 * d, rng, dtype), "dense")
         self._add(Reshape(16, 16 * d))
@@ -144,7 +148,10 @@ class Generator(_Net):
 
 
 class Critic(_Net):
-    """(n, 16384) waveforms -> (n,) scores."""
+    """(n, 16384) waveforms -> (n,) scores.
+
+    Weights are Glorot-uniform draws from rng; with rng=None they are zero,
+    to be filled (``set_param``, as a checkpoint load does)."""
 
     n_in = OUTPUT_LENGTH
     out_shape = ()
@@ -152,7 +159,6 @@ class Critic(_Net):
     def __init__(self, d: int = 4, shuffle_radius: int = 2,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         super().__init__(d, dtype)
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.shuffle_radius = shuffle_radius
         widths = [1, d, 2 * d, 4 * d, 8 * d, 16 * d]
         self._add(Reshape(OUTPUT_LENGTH, 1))

@@ -112,6 +112,20 @@ def test_unusable_model_fields_refused(saved, key, value):
         load_checkpoint(path)
 
 
+def test_truncated_blob_refused(saved):
+    _, path = saved
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(CheckpointError, match="truncated weight blob"):
+        load_checkpoint(path)
+
+
+def test_trailing_bytes_refused(saved):
+    _, path = saved
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(CheckpointError, match="1 trailing bytes"):
+        load_checkpoint(path)
+
+
 @pytest.fixture(scope="module")
 def d1_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.gan"

@@ -158,6 +158,13 @@ def _model(tmp):
     return str(path)
 
 
+def _hist(ws, tmp):
+    path = tmp / "hists.json"
+    rirs = sorted(str(p) for p in ws.glob("rir_*.wav"))
+    assert main(["analyze", *rirs, "--hist", str(path)]) == 0
+    return str(path)
+
+
 BAD_INPUTS = {
     "missing pool file": lambda ws, tmp: ["validate", "--pool", str(tmp / "missing.csv")],
     "missing config file": lambda ws, tmp: ["train", "--config", str(tmp / "missing.json")],
@@ -175,6 +182,9 @@ BAD_INPUTS = {
     "hist without a parameter": lambda ws, tmp: [
         "generate", "--model", _model(tmp), "--hist", _config(tmp, {"params": {}}),
         "-n", "1"],
+    "sampler tries not an integer": lambda ws, tmp: [
+        "generate", "--model", _model(tmp), "--hist", _hist(ws, tmp), "-n", "1",
+        "--config", _config(tmp, {"max_tries_per_sample": 1.5})],
     "removed sample_rate key": lambda ws, tmp: [
         "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
         "--noise", str(ws / "noise.csv"), "--spec", _config(tmp, {"sample_rate": 8000})],
@@ -192,6 +202,7 @@ BAD_INPUTS = {
 def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
     argv = BAD_INPUTS[case](workspace, tmp_path)
     assert main(["--out-dir", str(tmp_path / "out"), *argv]) == 2
+    assert not (tmp_path / "out").exists()  # refused before any work
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err

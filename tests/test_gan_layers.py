@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import rirkit.gan.layers as layers
-from rirkit.gan import TrainConfig, save_checkpoint, train
+from rirkit.gan import (
+    GanModel,
+    RMSProp,
+    TrainConfig,
+    clip_weights,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+)
 from rirkit.gan.gradcheck import numeric_gradient, relative_error
 from rirkit.gan.layers import (
     Conv1d,
@@ -85,6 +93,82 @@ class TestLayerGradients:
             gx = ps.backward(w)
             num = numeric_gradient(loss, x, h=H_PRIMARY)
             assert relative_error(gx, num) < TOL
+
+
+class TestNumericGradient:
+    """numeric_gradient perturbs the live array whatever its strides, and
+    `indices` are C-order flat positions."""
+
+    @pytest.mark.parametrize("layout", [
+        np.asfortranarray,
+        lambda a: np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2),
+    ])
+    def test_strided_array(self, layout):
+        rng = np.random.default_rng(4)
+        arr = layout(rng.standard_normal((4, 3, 5)))
+        coef = rng.standard_normal(arr.shape)
+        assert not arr.flags.c_contiguous
+        snap = arr.copy()
+
+        def loss():
+            return float((coef * arr * arr).sum())
+
+        want = 2.0 * coef * snap
+        np.testing.assert_allclose(numeric_gradient(loss, arr), want, rtol=1e-6)
+        idx = [0, 7, 31, arr.size - 1]
+        got = numeric_gradient(loss, arr, indices=idx).ravel()
+        np.testing.assert_allclose(got[idx], want.ravel()[idx], rtol=1e-6)
+        assert np.count_nonzero(np.delete(got, idx)) == 0
+        assert np.array_equal(arr, snap)
+
+
+def _conv_weights(net):
+    return [arr for _, pname, arr in net.named_params() if pname == "W" and arr.ndim == 3]
+
+
+def _in_gemm_layout(w):
+    """(kernel, c_in, c_out) weights whose (c_in, kernel, c_out) view is the
+    C-contiguous buffer both forward GEMMs read without a copy."""
+    return w.transpose(1, 0, 2).flags.c_contiguous
+
+
+class TestWeightLayout:
+    def test_built_and_loaded_models(self, tmp_path):
+        rng = np.random.default_rng(6)
+        model = GanModel(Generator(2, rng=rng), Critic(2, rng=rng), d=2, step=1, seed=6)
+        save_checkpoint(model, tmp_path / "a.gan")
+        loaded = load_checkpoint(tmp_path / "a.gan")
+        save_checkpoint(loaded, tmp_path / "b.gan")
+        assert (tmp_path / "a.gan").read_bytes() == (tmp_path / "b.gan").read_bytes()
+        for net in (model.generator, model.critic, loaded.generator, loaded.critic):
+            weights = _conv_weights(net)
+            assert len(weights) == 5
+            assert all(_in_gemm_layout(w) for w in weights)
+
+    def test_set_param_and_updates_keep_layout_and_arrays(self):
+        rng = np.random.default_rng(7)
+        for net in (Generator(2, rng=rng), Critic(2, shuffle_radius=0, rng=rng)):
+            arrays = net.param_arrays()
+            opt = RMSProp(arrays, 1e-3)
+
+            def unchanged():
+                weights = _conv_weights(net)
+                return (len(weights) == 5 and all(_in_gemm_layout(w) for w in weights)
+                        and all(a is b for a, b in zip(net.param_arrays(), arrays)))
+
+            for layer, pname, arr in net.named_params():
+                net.set_param(layer, pname, np.full(arr.shape, 0.005))
+            assert all(np.all(a == np.float32(0.005)) for a in arrays)  # RMSProp's arrays
+            assert unchanged()
+            net.forward(rng.uniform(-1, 1, (2, net.n_in)))
+            net.backward(np.ones((2, *net.out_shape), dtype=np.float32))
+            opt.step(net.grad_arrays())
+            assert not all(np.all(a == np.float32(0.005)) for a in arrays)
+            assert unchanged()
+            if isinstance(net, Critic):
+                clip_weights(net, 0.01)
+                assert all(np.max(np.abs(a)) <= 0.01 for a in arrays)
+                assert unchanged()
 
 
 class TestShapes:

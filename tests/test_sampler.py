@@ -256,3 +256,21 @@ def test_sampler_config_validation():
         SamplerConfig(bins_per_param=1)
     with pytest.raises(ValueError):
         SamplerConfig(max_tries_per_sample=0)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("bins_per_param", 30.0, TypeError), ("bins_per_param", True, TypeError),
+    ("max_tries_per_sample", 1.5, TypeError), ("max_tries_per_sample", "200", TypeError),
+    ("rng_seed", None, TypeError), ("rng_seed", False, TypeError),
+    ("relax_prob", True, TypeError), ("relax_prob", "0.05", TypeError),
+    ("relax_prob", float("nan"), ValueError),
+])
+def test_sampler_config_rejects_mistyped_fields(field, value, error):
+    with pytest.raises(error, match=rf"^{field} must be"):
+        SamplerConfig(**{field: value})
+
+
+def test_sampler_config_accepts_numpy_scalars():
+    config = SamplerConfig(bins_per_param=np.int64(5), relax_prob=np.float32(0.5),
+                           rng_seed=np.uint32(7))
+    assert config.bins_per_param == 5
