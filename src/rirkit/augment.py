@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fields import check_fields
 from .audio import AudioBuffer, RIR_RATE, Rir, convolve, load_wav, resample, save_wav
 from .corpus import RirPool
 
@@ -41,7 +42,9 @@ class AugmentSpec:
     snr_in_db: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "snr_range", tuple(self.snr_range))
+        check_fields(self)
+        if not np.isfinite(self.snr_range).all():
+            raise ValueError("snr_range must be finite")
         lo, hi = self.snr_range
         if not (0 < lo <= hi) and not self.snr_in_db:
             raise ValueError("snr_range must satisfy 0 < lo <= hi")
@@ -60,6 +63,9 @@ class MixRecord:
     alpha: float
     rescale: float
     out_path: str
+
+    def __post_init__(self):
+        check_fields(self)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))

@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from ._fields import check_fields
+
 
 @dataclass(frozen=True)
 class PoolEntry:
@@ -54,6 +56,7 @@ class SplitSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if any(s < 0 for s in self.sizes):
             raise ValueError("split sizes must be non-negative")
 

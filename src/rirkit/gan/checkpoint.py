@@ -56,7 +56,7 @@ def save_checkpoint(model, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path):
-    from .nets import Critic, GanModel, Generator
+    from .nets import LATENT_DISTS, Critic, GanModel, Generator
 
     data = Path(path).read_bytes()
     if len(data) < len(MAGIC) + 4 or data[: len(MAGIC)] != MAGIC:
@@ -74,7 +74,7 @@ def load_checkpoint(path: str | Path):
         raise CheckpointError(f"{path}: header needs integers d >= 1, step and seed")
     latent_dist = header.get("latent_dist", "uniform")
     radius = header.get("shuffle_radius", 2)
-    if latent_dist not in ("uniform", "gaussian"):
+    if latent_dist not in LATENT_DISTS:
         raise CheckpointError(f"{path}: unknown latent distribution {latent_dist!r}")
     if type(radius) is not int or radius < 0:
         raise CheckpointError(f"{path}: shuffle radius must be an integer >= 0")

@@ -31,6 +31,7 @@ OUTPUT_LENGTH = 16384
 KERNEL = 25
 STRIDE = 4
 LEAKY_SLOPE = 0.2
+LATENT_DISTS = ("uniform", "gaussian")
 
 
 def sample_latent(rng: np.random.Generator, n: int | None = None,
@@ -42,7 +43,8 @@ def sample_latent(rng: np.random.Generator, n: int | None = None,
         return rng.uniform(-1.0, 1.0, size=shape)
     if dist == "gaussian":
         return rng.standard_normal(size=shape)
-    raise ValueError(f"unknown latent distribution {dist!r}")
+    raise ValueError(f"unknown latent distribution {dist!r}, "
+                     f"expected one of {LATENT_DISTS}")
 
 
 class _Net:

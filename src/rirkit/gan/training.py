@@ -10,16 +10,16 @@ Given a seed (and thread count), training is bit-reproducible.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .._fields import check_fields
 from ..audio import Rir
 from .checkpoint import save_checkpoint
-from .nets import Critic, GanModel, Generator, sample_latent
+from .nets import LATENT_DISTS, Critic, GanModel, Generator, sample_latent
 
 
 class TrainingDivergedError(RuntimeError):
@@ -46,15 +46,7 @@ class TrainConfig:
     checkpoint_every: int = 100
 
     def __post_init__(self):
-        for name in ("steps", "batch_size", "n_critic", "d", "rng_seed",
-                     "shuffle_radius", "checkpoint_every"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in ("learning_rate", "clip_c"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise TypeError(f"{name} must be a real number, got {value!r}")
+        check_fields(self)
         if self.steps < 1 or self.batch_size < 1 or self.n_critic < 1 or self.d < 1:
             raise ValueError("steps, batch_size, n_critic and d must all be >= 1")
         if self.shuffle_radius < 0:
@@ -63,6 +55,9 @@ class TrainConfig:
             raise ValueError("clip_c must be > 0")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
+        if self.latent_dist not in LATENT_DISTS:
+            raise ValueError(f"latent_dist must be one of {LATENT_DISTS}, "
+                             f"got {self.latent_dist!r}")
 
 
 @dataclass

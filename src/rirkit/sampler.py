@@ -12,13 +12,13 @@ runaway reverberation get filtered.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._fields import check_fields
 from .acoustics import AcousticParams, EstimationError, analyze
 from .audio import Rir
 
@@ -42,14 +42,8 @@ class SamplerConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("bins_per_param", "max_tries_per_sample", "rng_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        prob = self.relax_prob
-        if isinstance(prob, bool) or not isinstance(prob, numbers.Real):
-            raise TypeError(f"relax_prob must be a real number, got {prob!r}")
-        if not 0.0 <= prob <= 1.0:  # NaN included
+        check_fields(self)
+        if not 0.0 <= self.relax_prob <= 1.0:  # NaN included
             raise ValueError("relax_prob must be in [0, 1]")
         if self.bins_per_param < 2:
             raise ValueError("bins_per_param must be >= 2")

@@ -272,3 +272,38 @@ def test_spec_validation():
         AugmentSpec(snr_range=(5.0, 1.0))
     with pytest.raises(TypeError):  # every utterance is mixed at RIR_RATE
         AugmentSpec(sample_rate=8000)
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("snr_in_db", {"snr_in_db": "no"}),  # a truthy string read every SNR as dB
+    ("rng_seed", {"rng_seed": 1.5}),
+])
+def test_spec_rejects_mistyped_fields(field, kwargs):
+    with pytest.raises(TypeError, match=rf"^{field} must be"):
+        AugmentSpec(**kwargs)
+
+
+@pytest.mark.parametrize("snr_range, snr_in_db", [
+    ((1.0, float("inf")), False), ((float("nan"), float("nan")), True),
+    ((-float("inf"), 3.0), True),
+])
+def test_spec_rejects_non_finite_snr_range(snr_range, snr_in_db):
+    with pytest.raises(ValueError, match="^snr_range must be finite"):
+        AugmentSpec(snr_range=snr_range, snr_in_db=snr_in_db)
+
+
+def test_spec_stores_snr_range_as_tuple_and_accepts_numpy_scalars():
+    assert AugmentSpec(snr_range=[1.0, 2.0]).snr_range == (1.0, 2.0)
+    assert type(AugmentSpec(snr_range=[1.0, 2.0]).snr_range) is tuple
+    spec = AugmentSpec(snr_range=(np.float32(1.0), np.int64(2)), rng_seed=np.uint32(3),
+                       snr_in_db=np.bool_(True))
+    assert spec.rng_seed == 3 and spec.snr_in_db
+
+
+@pytest.mark.parametrize("field, value", [("snr", "x"), ("k", 2.5), ("utt_id", 1)])
+def test_mix_record_from_json_rejects_mistyped_fields(field, value):
+    doc = json.loads(MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0,
+                               "/o.wav").to_json())
+    doc[field] = value
+    with pytest.raises(TypeError, match=rf"^{field} must be"):
+        MixRecord.from_json(json.dumps(doc))

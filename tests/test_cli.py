@@ -1,12 +1,22 @@
+import io
 import json
+import tempfile
+import typing
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rirkit.audio import AudioBuffer, load_wav, save_wav
+from rirkit.augment import AugmentSpec
 from rirkit.cli import main
 from rirkit.corpus import PoolEntry, RirPool, write_pool_csv
-from rirkit.gan import Critic, GanModel, Generator, save_checkpoint
+from rirkit.gan import Critic, GanModel, Generator, TrainConfig, save_checkpoint
+from rirkit.sampler import SamplerConfig
 
 from conftest import noise_rir
 
@@ -182,12 +192,25 @@ BAD_INPUTS = {
     "hist without a parameter": lambda ws, tmp: [
         "generate", "--model", _model(tmp), "--hist", _config(tmp, {"params": {}}),
         "-n", "1"],
+    "unknown latent_dist": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1,
+                                           "latent_dist": "cauchy"})],
     "sampler tries not an integer": lambda ws, tmp: [
         "generate", "--model", _model(tmp), "--hist", _hist(ws, tmp), "-n", "1",
         "--config", _config(tmp, {"max_tries_per_sample": 1.5})],
     "removed sample_rate key": lambda ws, tmp: [
         "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
         "--noise", str(ws / "noise.csv"), "--spec", _config(tmp, {"sample_rate": 8000})],
+    "snr_in_db not a bool": lambda ws, tmp: [
+        "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
+        "--noise", str(ws / "noise.csv"), "--spec", _config(tmp, {"snr_in_db": "false"})],
+    "augment rng_seed not an integer": lambda ws, tmp: [
+        "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
+        "--noise", str(ws / "noise.csv"), "--spec", _config(tmp, {"rng_seed": 1.5})],
+    "snr_range not finite": lambda ws, tmp: [
+        "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
+        "--noise", str(ws / "noise.csv"),
+        "--spec", _config(tmp, {"snr_range": [1.0, float("inf")]})],
     "sizes not three": lambda ws, tmp: [
         "split", "--pool", str(ws / "rirs.csv"), "--sizes", "4,2"],
     "sizes not counts": lambda ws, tmp: [
@@ -206,3 +229,59 @@ def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def _wrong_json(hint):
+    """Hypothesis strategy for JSON values that do not fit annotation ``hint``."""
+    texts, floats = st.text(max_size=5), st.floats()
+    junk = (st.none() | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+    if typing.get_origin(hint) is tuple:
+        return (junk | texts | st.booleans() | floats
+                | st.lists(st.floats(1, 10), max_size=4).filter(lambda v: len(v) != 2)
+                | st.tuples(st.floats(1, 10), texts).map(list))
+    junk = junk | st.lists(st.integers(), max_size=3)
+    return {
+        int: junk | texts | st.booleans() | floats.filter(lambda x: not x.is_integer()),
+        float: junk | texts | st.booleans(),
+        bool: junk | texts | st.integers() | floats,
+        str: junk | st.booleans() | st.integers() | floats,
+    }[hint]
+
+
+@pytest.fixture(scope="module")
+def config_commands(workspace, tmp_path_factory):
+    """Per JSON config: its record, a valid config, and the argv that reads it."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    model, hist = _model(tmp), _hist(workspace, tmp)
+    ws = workspace
+    return {
+        "train": (TrainConfig, {"pool": str(ws / "rirs.csv"), "steps": 1},
+                  lambda cfg: ["train", "--config", cfg]),
+        "sampler": (SamplerConfig, {},
+                    lambda cfg: ["generate", "--model", model, "--hist", hist, "-n", "1",
+                                 "--config", cfg]),
+        "augment": (AugmentSpec, {},
+                    lambda cfg: ["augment", "--clean", str(ws / "clean.csv"),
+                                 "--rirs", str(ws / "rirs.csv"),
+                                 "--noise", str(ws / "noise.csv"), "--spec", cfg]),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fuzz_mistyped_config_field_exits_2(config_commands, data):
+    command = data.draw(st.sampled_from(sorted(config_commands)))
+    cls, valid, argv = config_commands[command]
+    hints = typing.get_type_hints(cls)
+    field = data.draw(st.sampled_from([f.name for f in fields(cls)]))
+    value = data.draw(_wrong_json(hints[field]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        out = tmp / "out"
+        with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
+            rc = main(["--out-dir", str(out), *argv(_config(tmp, {**valid, field: value}))])
+        assert rc == 2
+        assert not out.exists()
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err.getvalue()

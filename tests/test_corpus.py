@@ -52,6 +52,20 @@ class TestSplit:
         with pytest.raises(ValueError):
             split(fake_pool(10), SplitSpec((5, 4, 2), rng_seed=0))
 
+    @pytest.mark.parametrize("field, args, kwargs", [
+        ("sizes", (), {"sizes": (1.5, 0, 0)}),
+        ("rng_seed", ((1, 0, 0),), {"rng_seed": "a"}),
+        ("sizes", ((1, 2),), {}),  # failed later, in split, at unpacking
+    ])
+    def test_spec_rejects_mistyped_fields(self, field, args, kwargs):
+        with pytest.raises(TypeError, match=rf"^{field} must be"):
+            SplitSpec(*args, **kwargs)
+
+    def test_spec_accepts_numpy_scalars(self):
+        spec = SplitSpec([np.int64(2), np.int32(1), 0], rng_seed=np.uint16(4))
+        assert spec.sizes == (2, 1, 0) and type(spec.sizes) is tuple
+        assert [len(p) for p in split(fake_pool(3), spec)] == [2, 1, 0]
+
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 60), seed=st.integers(0, 2**16), cut=st.data())
     def test_disjoint_exhaustive_property(self, n, seed, cut):
