@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -50,6 +51,18 @@ class AugmentSpec:
             raise ValueError("snr_range must satisfy 0 < lo <= hi")
         if self.snr_in_db and lo > hi:
             raise ValueError("snr_range must satisfy lo <= hi")
+        if self.snr_in_db and not (0 < _linear_snr(lo) and _linear_snr(hi) < math.inf):
+            raise ValueError("snr_range in dB must give linear ratios 10 ** (snr / 10) "
+                             "that are > 0 and finite")
+
+
+def _linear_snr(db: float) -> float:
+    """The linear power ratio 10 ** (db / 10) of a dB SNR: 0.0 where it
+    underflows, inf where it overflows."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -202,7 +215,7 @@ def augment_corpus(
         noise_entry = noise_pool.entries[int(rng.integers(len(noise_pool.entries)))]
         lo, hi = spec.snr_range
         snr = float(rng.uniform(lo, hi))
-        linear_snr = 10.0 ** (snr / 10.0) if spec.snr_in_db else snr
+        linear_snr = _linear_snr(snr) if spec.snr_in_db else snr
 
         clean = _load_at_rir_rate(clean_path)
         if rir_entry.id not in rir_cache:

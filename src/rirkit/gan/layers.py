@@ -30,7 +30,10 @@ keeps that layout for the life of the layer.
 
 Gradients are assigned (not accumulated) on each backward call; every layer
 keeps the forward activations it needs, so backward without a prior forward
-raises RuntimeError.
+raises RuntimeError. ``Dense`` and ``Conv1d``, the first parameter layers of
+the two nets, take ``input_grad=False`` to compute only their parameter
+gradients. Layers never write to their input or to the incoming gradient:
+bias adds and other in-place steps touch only buffers the layer just made.
 """
 
 from __future__ import annotations
@@ -74,6 +77,13 @@ def _overlap_add(contrib: np.ndarray, s: int, dtype) -> np.ndarray:
     return full.reshape(b, (t + nb - 1) * s, c)[:, crop : crop + t * s, :]
 
 
+def _skipped_input_grad(shape, dtype) -> np.ndarray:
+    """The input gradient a caller said it will not read (``input_grad=False``):
+    zeros of the input's shape as a read-only broadcast view, so nothing is
+    computed or allocated and the result still has the shape."""
+    return np.broadcast_to(np.zeros((), dtype=dtype), shape)
+
+
 class Layer:
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
@@ -101,13 +111,17 @@ class Dense(Layer):
 
     def forward(self, x):
         self._ctx = x
-        return x @ self.params["W"] + self.params["b"]
+        y = x @ self.params["W"]
+        y += self.params["b"]
+        return y
 
-    def backward(self, gy, param_grads=True):
+    def backward(self, gy, param_grads=True, input_grad=True):
         x = self._require_ctx()
         if param_grads:
             self.grads["W"] = x.T @ gy
             self.grads["b"] = gy.sum(axis=0)
+        if not input_grad:
+            return _skipped_input_grad(x.shape, gy.dtype)
         return gy @ self.params["W"].T
 
 
@@ -137,10 +151,11 @@ class Conv1d(_Conv):
         b, t, _ = x.shape
         v = _gather(x, self.kernel, self.stride)  # (b * t_out, c_in * k)
         self._ctx = v
-        y = v @ self._wm() + self.params["b"]
+        y = v @ self._wm()
+        y += self.params["b"]
         return y.reshape(b, t // self.stride, self.c_out)
 
-    def backward(self, gy, param_grads=True):
+    def backward(self, gy, param_grads=True, input_grad=True):
         v = self._require_ctx()
         b, t_out, _ = gy.shape
         k = self.kernel
@@ -149,6 +164,8 @@ class Conv1d(_Conv):
             gw = v.T @ g2
             self.grads["W"] = gw.reshape(self.c_in, k, self.c_out).transpose(1, 0, 2)
             self.grads["b"] = g2.sum(axis=0)
+        if not input_grad:
+            return _skipped_input_grad((b, t_out * self.stride, self.c_in), gy.dtype)
         wk = self.params["W"].reshape(k * self.c_in, self.c_out)
         contrib = (g2 @ wk.T).reshape(b, t_out, k, self.c_in)
         return _overlap_add(contrib, self.stride, gy.dtype)
@@ -163,7 +180,9 @@ class ConvTranspose1d(_Conv):
         wm = self.params["W"].transpose(1, 0, 2).reshape(self.c_in, k * self.c_out)
         contrib = (x.reshape(b * t, self.c_in) @ wm).reshape(b, t, k, self.c_out)
         self._ctx = x
-        return _overlap_add(contrib, self.stride, x.dtype) + self.params["b"]
+        y = _overlap_add(contrib, self.stride, x.dtype)
+        y += self.params["b"]
+        return y
 
     def backward(self, gy, param_grads=True):
         x = self._require_ctx()
@@ -179,27 +198,50 @@ class ConvTranspose1d(_Conv):
 
 
 class ReLU(Layer):
+    """max(x, 0) as ``np.fmax(x, 0)``, which gives the bits of
+    ``np.where(x > 0, x, 0)``: +0 for -0 and NaN (``np.maximum`` passes NaN
+    through, ``np.fmax(0, x)`` keeps -0). Backward keeps the gradient where
+    the output is positive, exactly where x > 0, by multiplying its
+    same-width integer view by that mask: dropped entries become +0 bits and
+    kept ones, NaN included, pass unchanged, as ``np.where(x > 0, gy, 0)``
+    would. The output, not a mask, is kept for backward: it is alive anyway
+    as the next layer's input, and a forward-only pass makes no mask."""
+
     def forward(self, x):
-        self._ctx = x > 0
-        return np.where(self._ctx, x, 0)
+        y = np.fmax(x, 0)
+        self._ctx = y
+        return y
 
     def backward(self, gy, param_grads=True):
-        mask = self._require_ctx()
-        return np.where(mask, gy, 0)
+        y = self._require_ctx()
+        bits = gy.view(np.dtype(f"i{gy.itemsize}"))
+        return (bits * (y > 0)).view(gy.dtype)
 
 
 class LeakyReLU(Layer):
+    """x where x > 0, else slope * x, as ``np.maximum(x, slope * x)``: for
+    0 < slope < 1 that picks the same operand as ``np.where`` for every x,
+    -0, NaN and the infinities included. Backward multiplies the gradient by
+    1 or slope, formed as mask * (1 - slope) + slope in the gradient's dtype,
+    which is exactly 1.0 or slope, so the product has the bits of
+    ``np.where(mask, gy, slope * gy)``."""
+
     def __init__(self, slope: float = 0.2):
         super().__init__()
         self.slope = slope
 
     def forward(self, x):
         self._ctx = x > 0
-        return np.where(self._ctx, x, x * x.dtype.type(self.slope))
+        y = x * x.dtype.type(self.slope)
+        return np.maximum(x, y, out=y)
 
     def backward(self, gy, param_grads=True):
         mask = self._require_ctx()
-        return np.where(mask, gy, gy * gy.dtype.type(self.slope))
+        t = gy.dtype.type
+        factor = mask * t(1 - self.slope)
+        factor += t(self.slope)
+        factor *= gy
+        return factor
 
 
 class Tanh(Layer):
@@ -233,27 +275,29 @@ class PhaseShuffle(Layer):
 
     The shift is drawn by the caller (one draw per application, shared across
     the batch); shift 0 is the identity and |shift| must be below the length.
-    Linear, so backward copies the gradient back by the shift and then adds
-    the |shift| reflected edge samples, reversed, onto the samples they
-    were read from.
+    Forward is two slice copies: the shifted body and the |shift| reflected
+    edge samples, reversed. Linear, so backward copies the gradient back by
+    the shift and then adds those edge samples' gradients, reversed, onto the
+    samples they were read from.
     """
 
     def __init__(self, radius: int):
         super().__init__()
         self.radius = radius
 
-    def index_map(self, t: int, shift: int) -> np.ndarray:
-        if abs(shift) > t - 1:
-            raise ValueError(f"shift {shift} does not fit a length of {t}")
-        idx = np.abs(np.arange(t) - shift)
-        over = idx > t - 1
-        idx[over] = 2 * (t - 1) - idx[over]
-        return idx
-
     def forward(self, x, shift: int = 0):
-        idx = self.index_map(x.shape[1], shift)
+        t, a = x.shape[1], abs(shift)
+        if a > t - 1:
+            raise ValueError(f"shift {shift} does not fit a length of {t}")
         self._ctx = shift
-        return x[:, idx, :]
+        y = np.empty(x.shape, dtype=x.dtype)
+        if shift >= 0:  # y[a + i] = x[i]; y[a - 1 - i] = x[1 + i] for i < a
+            y[:, a:] = x[:, : t - a]
+            y[:, :a] = x[:, 1 : a + 1][:, ::-1]
+        else:  # y[i] = x[a + i]; y[t - 1 - i] = x[t - 1 - a + i] for i < a
+            y[:, : t - a] = x[:, a:]
+            y[:, t - a :] = x[:, t - 1 - a : t - 1][:, ::-1]
+        return y
 
     def backward(self, gy, param_grads=True):
         shift = self._require_ctx()

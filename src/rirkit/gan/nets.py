@@ -92,14 +92,24 @@ class _Net:
                 h = layer.forward(h)
         return h[0] if squeeze else h
 
-    def backward(self, g: np.ndarray, param_grads: bool = True) -> np.ndarray:
+    def backward(self, g: np.ndarray, param_grads: bool = True,
+                 input_grad: bool = True) -> np.ndarray:
         """Gradient wrt the last forward's output -> (n, n_in) gradient wrt
-        its input; parameter gradients land in each layer's ``grads``."""
+        its input; parameter gradients land in each layer's ``grads``.
+
+        With input_grad=False the caller will not read the input gradient:
+        the first parameter layer skips it, and zeros of its shape (a
+        read-only broadcast view) come back. Parameter gradients are the same.
+        """
         g = np.asarray(g, dtype=self.dtype)
         if g.ndim == len(self.out_shape):
             g = g[None]
+        first = next(iter(self._layers.values()))
         for layer in reversed(self._stack):
-            g = layer.backward(g, param_grads=param_grads)
+            if layer is first:
+                g = layer.backward(g, param_grads=param_grads, input_grad=input_grad)
+            else:
+                g = layer.backward(g, param_grads=param_grads)
         return g
 
     def named_params(self) -> list[tuple[str, str, np.ndarray]]:

@@ -107,19 +107,40 @@ _RMSPROP_EPS = 1e-8
 
 
 class RMSProp:
-    """Per-parameter squared-gradient running average (decay 0.9, eps 1e-8)."""
+    """Per-parameter squared-gradient running average (decay 0.9, eps 1e-8),
+    kept in float64.
+
+    A step works in two float64 scratch rows that all parameters share, sized
+    to the largest one, with ``out=`` ufuncs in the order
+    v = 0.9 v + (0.1 g) g, then p -= float32((lr g) / (sqrt(v) + eps)). The
+    rows are made per step, not kept: held between steps they would add to
+    the peak memory of training, which falls during the nets' passes.
+    """
 
     def __init__(self, params: list[np.ndarray], lr: float):
         self.params = params
         self.lr = lr
         self.cache = [np.zeros_like(p, dtype=np.float64) for p in params]
+        self._scratch_size = max((p.size for p in params), default=0)
 
     def step(self, grads: list[np.ndarray]) -> None:
+        scratch = np.empty((2, self._scratch_size), dtype=np.float64)
         for p, g, v in zip(self.params, grads, self.cache):
-            g64 = g.astype(np.float64)
+            # scratch views in v's memory order, so that every ufunc below
+            # walks v, p and both views in one contiguous order
+            g64, tmp = (np.ndarray(v.shape, np.float64, row, strides=v.strides)
+                        for row in scratch)
+            np.copyto(g64, g)
             v *= _RMSPROP_DECAY
-            v += (1.0 - _RMSPROP_DECAY) * g64 * g64
-            p -= (self.lr * g64 / (np.sqrt(v) + _RMSPROP_EPS)).astype(p.dtype)
+            np.multiply(1.0 - _RMSPROP_DECAY, g64, out=tmp)
+            tmp *= g64
+            v += tmp
+            np.sqrt(v, out=tmp)
+            tmp += _RMSPROP_EPS
+            g64 *= self.lr
+            g64 /= tmp
+            # the step is rounded to p's dtype before the subtraction
+            np.subtract(p, g64, out=p, dtype=p.dtype)
 
 
 def _as_matrix(dataset: Sequence[Rir] | np.ndarray) -> np.ndarray:
@@ -182,7 +203,7 @@ def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
             if not np.isfinite(c_loss):
                 raise TrainingDivergedError(step, "critic loss", c_loss)
             w_est = -c_loss
-            critic.backward(gs_critic)
+            critic.backward(gs_critic, input_grad=False)
             c_opt.step(critic.grad_arrays())
             clip_weights(critic, config.clip_c)
             result.critic_updates += 1
@@ -194,7 +215,7 @@ def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
         if not np.isfinite(g_loss):
             raise TrainingDivergedError(step, "generator loss", g_loss)
         gx = critic.backward(gs_gen, param_grads=False)
-        gen.backward(gx)
+        gen.backward(gx, input_grad=False)
         g_opt.step(gen.grad_arrays())
 
         result.log.append(LogRow(step, c_loss, g_loss, w_est))

@@ -292,6 +292,21 @@ def test_spec_rejects_non_finite_snr_range(snr_range, snr_in_db):
         AugmentSpec(snr_range=snr_range, snr_in_db=snr_in_db)
 
 
+@pytest.mark.parametrize("snr_range", [
+    (4000.0, 5000.0),  # 10 ** 400 overflows: every utterance failed with OverflowError
+    (10.0, 3090.0),
+    (-4000.0, 10.0),  # 10 ** -400 underflows to 0: every utterance failed
+    (np.float32(10.0), np.float32(3090.0)),  # float32 would give inf, not an error
+])
+def test_spec_rejects_db_range_beyond_float_range(snr_range):
+    with pytest.raises(ValueError, match="^snr_range in dB"):
+        AugmentSpec(snr_range=snr_range, snr_in_db=True)
+    lo, hi = snr_range
+    if lo > 0:  # read as linear ratios the same range is fine
+        AugmentSpec(snr_range=snr_range)
+    AugmentSpec(snr_range=(-3000.0, 3000.0), snr_in_db=True)
+
+
 def test_spec_stores_snr_range_as_tuple_and_accepts_numpy_scalars():
     assert AugmentSpec(snr_range=[1.0, 2.0]).snr_range == (1.0, 2.0)
     assert type(AugmentSpec(snr_range=[1.0, 2.0]).snr_range) is tuple

@@ -211,6 +211,10 @@ BAD_INPUTS = {
         "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
         "--noise", str(ws / "noise.csv"),
         "--spec", _config(tmp, {"snr_range": [1.0, float("inf")]})],
+    "snr_range in dB overflows": lambda ws, tmp: [
+        "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
+        "--noise", str(ws / "noise.csv"),
+        "--spec", _config(tmp, {"snr_range": [4000.0, 5000.0], "snr_in_db": True})],
     "sizes not three": lambda ws, tmp: [
         "split", "--pool", str(ws / "rirs.csv"), "--sizes", "4,2"],
     "sizes not counts": lambda ws, tmp: [

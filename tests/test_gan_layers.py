@@ -203,9 +203,7 @@ class TestShapes:
     @pytest.mark.parametrize("t, shift", [(2, 3), (2, 2), (2, -2), (3, 3), (1, 1)])
     def test_phase_shuffle_rejects_shift_beyond_length(self, t, shift):
         ps = PhaseShuffle(2)
-        with pytest.raises(ValueError):
-            ps.index_map(t, shift)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not fit a length"):
             ps.forward(np.zeros((1, t, 1)), shift)
 
 
@@ -252,9 +250,10 @@ class TestKernelReferences:
 
 
 # Reference kernels: the tap-by-tap overlap-add, Conv1d.backward through a
-# transposed view, and the np.add.at scatter of PhaseShuffle.backward. The
-# layers must give the same bits, because each output sums the same terms in
-# the same order.
+# transposed view with its input gradient always computed, the index-map
+# gather and np.add.at scatter of PhaseShuffle, the np.where activations and
+# RMSProp on fresh temporaries. The layers must give the same bits, because
+# each output sums the same terms in the same order.
 
 def _ref_overlap_add(contrib, s, dtype):
     """Tap-by-tap: k strided adds in ascending tap order, then the crop."""
@@ -266,8 +265,9 @@ def _ref_overlap_add(contrib, s, dtype):
     return full[:, crop : crop + t * s, :]
 
 
-def _ref_conv1d_backward(self, gy, param_grads=True):
-    """Conv1d.backward with channel-major contributions behind a transposed view."""
+def _ref_conv1d_backward(self, gy, param_grads=True, input_grad=True):
+    """Conv1d.backward with channel-major contributions behind a transposed
+    view; it computes the input gradient whatever input_grad says."""
     v = self._require_ctx()
     b, t_out, _ = gy.shape
     k = self.kernel
@@ -280,12 +280,77 @@ def _ref_conv1d_backward(self, gy, param_grads=True):
     return _ref_overlap_add(contrib.transpose(0, 1, 3, 2), self.stride, gy.dtype)
 
 
+def _ref_index_map(t, shift):
+    """Where each output sample of a phase shuffle by shift reads its input:
+    |i - shift|, reflected at the far edge."""
+    if abs(shift) > t - 1:
+        raise ValueError(f"shift {shift} does not fit a length of {t}")
+    idx = np.abs(np.arange(t) - shift)
+    over = idx > t - 1
+    idx[over] = 2 * (t - 1) - idx[over]
+    return idx
+
+
+def _ref_phase_shuffle_forward(self, x, shift=0):
+    """Gather through the index map."""
+    idx = _ref_index_map(x.shape[1], shift)
+    self._ctx = shift
+    return x[:, idx, :]
+
+
 def _ref_phase_shuffle_backward(self, gy, param_grads=True):
-    """Scatter-add through the forward index map."""
-    idx = self.index_map(gy.shape[1], self._require_ctx())
+    """Scatter-add through the index map."""
+    idx = _ref_index_map(gy.shape[1], self._require_ctx())
     gx = np.zeros(gy.shape, dtype=gy.dtype)
     np.add.at(gx, (slice(None), idx), gy)
     return gx
+
+
+def _ref_relu_forward(self, x):
+    self._ctx = x > 0
+    return np.where(self._ctx, x, 0)
+
+
+def _ref_relu_backward(self, gy, param_grads=True):
+    return np.where(self._require_ctx(), gy, 0)
+
+
+def _ref_leaky_relu_forward(self, x):
+    self._ctx = x > 0
+    return np.where(self._ctx, x, x * x.dtype.type(self.slope))
+
+
+def _ref_leaky_relu_backward(self, gy, param_grads=True):
+    return np.where(self._require_ctx(), gy, gy * gy.dtype.type(self.slope))
+
+
+def _ref_rmsprop_step(self, grads):
+    for p, g, v in zip(self.params, grads, self.cache):
+        g64 = g.astype(np.float64)
+        v *= 0.9
+        v += (1.0 - 0.9) * g64 * g64
+        p -= (self.lr * g64 / (np.sqrt(v) + 1e-8)).astype(p.dtype)
+
+
+def _bits(a):
+    return a.view(np.dtype(f"u{a.itemsize}"))
+
+
+def _special_pairs(dtype):
+    """(x, g): every pairing of +-0, +-NaN (quiet, and one with a payload),
+    +-inf, the smallest denormals and normals, +-max and +-1, then random
+    values; long enough that each pair also lands in a vector loop's body."""
+    fi = np.finfo(dtype)
+    payload_nan = np.array(0x7FC00001 if fi.bits == 32 else 0x7FF8000000000001,
+                           np.dtype(f"u{fi.bits // 8}")).view(dtype)
+    table = np.array([0.0, -0.0, np.nan, -np.nan, payload_nan, -payload_nan,
+                      np.inf, -np.inf, fi.smallest_subnormal, -fi.smallest_subnormal,
+                      2 * fi.smallest_subnormal, -2 * fi.smallest_subnormal,
+                      fi.smallest_normal, -fi.smallest_normal, fi.max, -fi.max,
+                      1.0, -1.0], dtype=dtype)
+    rand = np.random.default_rng(fi.bits).standard_normal((2, 1000)).astype(dtype)
+    return (np.concatenate([np.repeat(table, table.size), rand[0]]),
+            np.concatenate([np.tile(table, table.size), rand[1]]))
 
 
 class TestKernelEquivalence:
@@ -332,17 +397,112 @@ class TestKernelEquivalence:
             assert got.dtype == g.dtype
             assert np.array_equal(got, _ref_phase_shuffle_backward(ps, g)), shift
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 7, 30])
+    def test_phase_shuffle_forward_matches_gather(self, t, dtype):
+        ps = PhaseShuffle(2)
+        x = np.random.default_rng(t).standard_normal((2, t, 3)).astype(dtype)
+        for shift in range(-(t - 1), t):
+            got = ps.forward(x, shift)
+            assert ps._ctx == shift
+            ref = _ref_phase_shuffle_forward(ps, x, shift)
+            assert got.dtype == x.dtype and got.shape == x.shape
+            assert np.array_equal(_bits(got), _bits(ref)), shift
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("make, ref_fwd, ref_bwd", [
+        (ReLU, _ref_relu_forward, _ref_relu_backward),
+        (lambda: LeakyReLU(0.2), _ref_leaky_relu_forward, _ref_leaky_relu_backward),
+    ], ids=["relu", "leaky_relu"])
+    @pytest.mark.parametrize("strided", [False, True], ids=["contiguous", "strided"])
+    def test_activation_bits_match_where(self, make, ref_fwd, ref_bwd, dtype, strided):
+        x, g = _special_pairs(dtype)
+        if strided:  # as ConvTranspose1d's cropped output reaches the ReLU
+            x = np.repeat(x, 2)[::2]
+            g = np.repeat(g, 2)[::2]
+        x, g = x.reshape(2, -1, 1), g.reshape(2, -1, 1)
+        act, ref_layer = make(), make()
+        y, y_ref = act.forward(x), ref_fwd(ref_layer, x)
+        assert y.dtype == y_ref.dtype
+        assert np.array_equal(_bits(y), _bits(y_ref))
+        gx, gx_ref = act.backward(g), ref_bwd(ref_layer, g)
+        assert gx.dtype == gx_ref.dtype
+        assert np.array_equal(_bits(gx), _bits(gx_ref))
+
+    def test_rmsprop_matches_fresh_temporaries(self):
+        rng = np.random.default_rng(10)
+        shapes = [(25, 3, 4), (4,), (300,)]
+        params = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        params[0] = np.ascontiguousarray(params[0].transpose(1, 0, 2)).transpose(1, 0, 2)
+        ref_params = [p.copy() for p in params]
+        opt, ref = RMSProp(params, 1e-3), RMSProp(ref_params, 1e-3)
+        for _ in range(3):
+            grads = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+            grads[1][:] = 0  # sqrt(v) + eps with v = 0
+            opt.step(grads)
+            _ref_rmsprop_step(ref, grads)
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(params, ref_params))
+        assert all(np.array_equal(a, b) for a, b in zip(opt.cache, ref.cache))
+
     def test_training_checkpoint_bytes_match_reference_kernels(self, monkeypatch,
                                                               tmp_path, toy_rirs):
         config = TrainConfig(steps=2, batch_size=4, d=1, rng_seed=3, shuffle_radius=2,
                              checkpoint_every=0)
-        monkeypatch.setattr(layers, "_overlap_add", _ref_overlap_add)
-        monkeypatch.setattr(layers.Conv1d, "backward", _ref_conv1d_backward)
-        monkeypatch.setattr(layers.PhaseShuffle, "backward", _ref_phase_shuffle_backward)
+        for owner, attr, ref in [
+            (layers, "_overlap_add", _ref_overlap_add),
+            (layers.Conv1d, "backward", _ref_conv1d_backward),
+            (layers.PhaseShuffle, "forward", _ref_phase_shuffle_forward),
+            (layers.PhaseShuffle, "backward", _ref_phase_shuffle_backward),
+            (layers.ReLU, "forward", _ref_relu_forward),
+            (layers.ReLU, "backward", _ref_relu_backward),
+            (layers.LeakyReLU, "forward", _ref_leaky_relu_forward),
+            (layers.LeakyReLU, "backward", _ref_leaky_relu_backward),
+            (RMSProp, "step", _ref_rmsprop_step),
+        ]:
+            monkeypatch.setattr(owner, attr, ref)
         save_checkpoint(train(toy_rirs[:16], config).model, tmp_path / "ref.gan")
         monkeypatch.undo()
         save_checkpoint(train(toy_rirs[:16], config).model, tmp_path / "new.gan")
         assert (tmp_path / "ref.gan").read_bytes() == (tmp_path / "new.gan").read_bytes()
+
+
+class TestNetBackward:
+    @pytest.mark.parametrize("make", [
+        lambda rng: Critic(1, shuffle_radius=2, rng=rng),
+        lambda rng: Generator(1, rng=rng),
+    ], ids=["critic", "generator"])
+    def test_skipped_input_grad_keeps_parameter_grads(self, make):
+        rng = np.random.default_rng(11)
+        net = make(rng)
+        x = rng.uniform(-1, 1, (3, net.n_in))
+        g = rng.standard_normal((3, *net.out_shape)).astype(np.float32)
+        net.forward(x, rng=np.random.default_rng(5))
+        full = net.backward(g)
+        want = [a.copy() for a in net.grad_arrays()]
+        skipped = net.backward(g, input_grad=False)
+        assert skipped.shape == full.shape == (3, net.n_in)
+        assert not np.any(skipped)
+        assert all(np.array_equal(_bits(a), _bits(b))
+                   for a, b in zip(net.grad_arrays(), want))
+
+    def test_forward_input_and_backward_seed_are_never_written(self):
+        # train() reuses one critic seed for every critic update
+        rng = np.random.default_rng(12)
+        gen, critic = Generator(1, rng=rng), Critic(1, shuffle_radius=2, rng=rng)
+        z = rng.uniform(-1, 1, (4, 100)).astype(np.float32)
+        g_gen = rng.standard_normal((4, 16384)).astype(np.float32)
+        g_critic = np.repeat(np.float32([-0.25, 0.25]), 2)
+        saved = [a.copy() for a in (z, g_gen, g_critic)]
+        for _ in range(2):
+            fake = gen.forward(z)
+            fake_saved = fake.copy()
+            critic.forward(fake, rng=rng)
+            for kwargs in ({}, {"input_grad": False}, {"param_grads": False}):
+                critic.backward(g_critic, **kwargs)
+                gen.backward(g_gen, **kwargs)
+            assert np.array_equal(_bits(fake), _bits(fake_saved))
+        assert all(np.array_equal(_bits(a), _bits(b))
+                   for a, b in zip((z, g_gen, g_critic), saved))
 
 
 def _net_fd_check(loss_fn, pairs, max_per_tensor, rng):
