@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
 import numpy as np
+from scipy.fft import next_fast_len
 from scipy.signal import firwin, resample_poly
 
 RIR_RATE = 16000
@@ -181,6 +183,24 @@ def save_wav(buffer: AudioBuffer, path: str | Path) -> None:
     Path(path).write_bytes(header + payload)
 
 
+@lru_cache(maxsize=4)
+def _sinc_taps(up: int, down: int) -> np.ndarray:
+    """The Kaiser-windowed sinc low-pass that resamples by up/down: 2*half + 1
+    taps, half = _SINC_ZERO_CROSSINGS * max(up, down). Built once per ratio and
+    shared, so it is read-only (resample_poly copies the window it is given)."""
+    m = max(up, down)
+    half = _SINC_ZERO_CROSSINGS * m
+    taps = firwin(2 * half + 1, 1.0 / m, window=("kaiser", _KAISER_BETA))
+    taps.flags.writeable = False
+    return taps
+
+
+def _ratio(src: int, target: int) -> tuple[int, int]:
+    """(up, down) in lowest terms, with target / src == up / down."""
+    g = gcd(src, target)
+    return target // g, src // g
+
+
 def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Band-limited polyphase resampling (Kaiser-windowed sinc).
 
@@ -192,12 +212,9 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     if target_rate == src:
         return AudioBuffer(buffer.samples.copy(), src)
 
-    g = gcd(src, int(target_rate))
-    up, down = int(target_rate) // g, src // g
-    m = max(up, down)
-    half = _SINC_ZERO_CROSSINGS * m
-    taps = firwin(2 * half + 1, 1.0 / m, window=("kaiser", _KAISER_BETA))
-    y = resample_poly(buffer.samples.astype(np.float64), up, down, window=taps)
+    up, down = _ratio(src, int(target_rate))
+    y = resample_poly(buffer.samples.astype(np.float64), up, down,
+                      window=_sinc_taps(up, down))
 
     n_out = int(np.floor(buffer.samples.size * target_rate / src + 0.5))
     if y.size < n_out:
@@ -205,11 +222,39 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     return AudioBuffer(y[:n_out].astype(np.float32), int(target_rate))
 
 
+def _rir_prefix(src: int) -> int:
+    """How many input samples at rate src reach the RIR_LENGTH samples that
+    to_rir keeps, once resampled to RIR_RATE.
+
+    resample_poly centres the taps h[0..2*half] on each output, so output j is
+    sum over |t| <= half of h[half + t] * u[j*down - t], where u is the input
+    zero-stuffed by up (u[i*up] = x[i], zero elsewhere). Output j therefore
+    reads input samples up to floor((j*down + half) / up), and the last kept
+    output, j = RIR_LENGTH - 1, reads them up to
+    floor(((RIR_LENGTH - 1)*down + half) / up); this is one less than the
+    count returned. Each kept output sums the same products in the same order
+    whether or not the input goes on past that prefix, so resampling the
+    prefix alone gives the same bits. At RIR_RATE no filter runs and the
+    prefix is RIR_LENGTH itself.
+    """
+    if src == RIR_RATE:
+        return RIR_LENGTH
+    up, down = _ratio(src, RIR_RATE)
+    half = _SINC_ZERO_CROSSINGS * max(up, down)
+    return ((RIR_LENGTH - 1) * down + half) // up + 1
+
+
 def to_rir(buffer: AudioBuffer) -> Rir:
     """Canonicalize arbitrary audio to a RIR: resample to 16 kHz, truncate or
-    zero-pad the tail to 16384 samples, then peak-normalize."""
-    b = resample(buffer, RIR_RATE)
-    s = b.samples
+    zero-pad the tail to 16384 samples, then peak-normalize.
+
+    Only the input prefix that reaches the kept samples is resampled (see
+    _rir_prefix); the result is the same as resampling the whole input.
+    """
+    n = _rir_prefix(buffer.sample_rate)
+    if len(buffer) > n:
+        buffer = AudioBuffer(buffer.samples[:n], buffer.sample_rate)
+    s = resample(buffer, RIR_RATE).samples
     if s.size >= RIR_LENGTH:
         s = s[:RIR_LENGTH]
     else:
@@ -218,9 +263,11 @@ def to_rir(buffer: AudioBuffer) -> Rir:
 
 
 def convolve(x: AudioBuffer, h: AudioBuffer | Rir) -> AudioBuffer:
-    """Full linear convolution via FFT with next-power-of-two padding.
+    """Full linear convolution via one float64 real FFT.
 
-    Result length is len(x) + len(h) - 1 and matches direct summation to
+    The FFT length is scipy's next_fast_len of the result length (a 5-smooth
+    size, 2^a 3^b 5^c, at most the next power of two and usually well below
+    it). Result length is len(x) + len(h) - 1 and matches direct summation to
     floating-point accuracy. Sample rates must agree.
     """
     h_rate = h.sample_rate
@@ -231,6 +278,6 @@ def convolve(x: AudioBuffer, h: AudioBuffer | Rir) -> AudioBuffer:
     xs = x.samples.astype(np.float64)
     hs = np.asarray(h.samples, dtype=np.float64)
     n = xs.size + hs.size - 1
-    nfft = 1 << (n - 1).bit_length()
+    nfft = next_fast_len(n, real=True)
     y = np.fft.irfft(np.fft.rfft(xs, nfft) * np.fft.rfft(hs, nfft), nfft)[:n]
     return AudioBuffer(y.astype(np.float32), x.sample_rate)

@@ -91,14 +91,23 @@ class MixRecord:
 def looped_noise(noise: AudioBuffer, k: int, length: int) -> AudioBuffer | None:
     """Circular slice: output[i] = noise[(k + i) mod len(noise)].
 
-    length 0 yields None (AudioBuffer cannot be empty)."""
+    The output is filled by slice copies: noise[k:], then whole loops of
+    noise, then the head that is left. length 0 yields None (AudioBuffer
+    cannot be empty)."""
     n = len(noise)
     if not 0 <= k < n:
         raise ValueError(f"offset k={k} out of range [0, {n})")
     if length == 0:
         return None
-    idx = (k + np.arange(length)) % n
-    return AudioBuffer(noise.samples[idx], noise.sample_rate)
+    src = noise.samples
+    out = np.empty(length, dtype=src.dtype)
+    pos = min(length, n - k)
+    out[:pos] = src[k : k + pos]
+    while pos < length:
+        step = min(n, length - pos)
+        out[pos : pos + step] = src[:step]
+        pos += step
+    return AudioBuffer(out, noise.sample_rate)
 
 
 def compute_alpha(reverberant: AudioBuffer, noise_segment: AudioBuffer,
@@ -125,9 +134,8 @@ def mix(clean: AudioBuffer, rir: Rir | AudioBuffer, noise: AudioBuffer,
     buffer and a MixRecord whose id/path fields are left blank for the
     caller to fill in.
     """
-    rev = convolve(clean, rir)
-    rev_s = rev.samples[: len(clean)].astype(np.float64)
-    rev_buf = AudioBuffer(rev_s.astype(np.float32), clean.sample_rate)
+    rev_buf = AudioBuffer(convolve(clean, rir).samples[: len(clean)], clean.sample_rate)
+    rev_s = rev_buf.samples.astype(np.float64)
     seg = looped_noise(noise, k, len(clean))
     if alpha_override is not None:
         alpha = float(alpha_override)
@@ -200,6 +208,10 @@ def augment_corpus(
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 
+    # RIRs are kept as samples, not spectra: a spectrum is 0.5 MB per RIR at
+    # 65536 points and more for longer utterances (~38 MB or more over the
+    # ~72 RIRs a 128-utterance call draws), too much memory for one FFT saved
+    # per mix
     rir_cache: dict[str, Rir] = {}
     noise_cache: dict[str, AudioBuffer] = {}
     id_counts = Counter(utt_id for utt_id, _ in clean_manifest)

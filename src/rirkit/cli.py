@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", type=Path, default=Path("."),
                         help="directory for output artifacts")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parallelizable commands")
+                        help="worker threads for parallelizable commands (>= 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="estimate T60/DRR/EDT/CTE from RIR WAVs")
@@ -229,6 +229,8 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
         return _COMMANDS[args.command](args)
     except (OSError, ValueError) as exc:  # a missing or malformed input
         print(f"error: {exc}", file=sys.stderr)

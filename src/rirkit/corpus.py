@@ -138,9 +138,11 @@ def validate_pool(pool: RirPool, load: bool = True, threads: int = 1) -> Validat
 
 
 def read_pool_csv(path: str | Path) -> RirPool:
+    """Read a pool CSV. A row with an empty id or an empty path is refused
+    with a ValueError naming the file and the line."""
     entries = []
     notes = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         if line.startswith("#"):
             notes.append(line[1:].strip())
             continue
@@ -152,6 +154,8 @@ def read_pool_csv(path: str | Path) -> RirPool:
         if len(row) not in (3, 4):
             raise ValueError(f"{path}: expected id,source,path[,strat_key] rows, "
                              f"got {line!r}")
+        if not row[0] or not row[2]:
+            raise ValueError(f"{path}: line {lineno}: empty id or path in {line!r}")
         entries.append(PoolEntry(*row))
     return RirPool(tuple(entries), notes="; ".join(notes))
 

@@ -1,10 +1,13 @@
 import struct
+from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import firwin, resample_poly
 
+from rirkit import audio
 from rirkit.audio import (
     RIR_LENGTH,
     RIR_RATE,
@@ -245,6 +248,74 @@ class TestToRir:
         np.testing.assert_allclose(twice.samples, once.samples, atol=1e-7)
 
 
+def _to_rir_full(buffer):
+    """to_rir as it was before it resampled a prefix only: the whole input is
+    resampled, with the taps built anew on every call."""
+    src = buffer.sample_rate
+    if src == RIR_RATE:
+        s = buffer.samples.copy()
+    else:
+        g = gcd(src, RIR_RATE)
+        up, down = RIR_RATE // g, src // g
+        m = max(up, down)
+        half = audio._SINC_ZERO_CROSSINGS * m
+        taps = firwin(2 * half + 1, 1.0 / m, window=("kaiser", audio._KAISER_BETA))
+        y = resample_poly(buffer.samples.astype(np.float64), up, down, window=taps)
+        n_out = int(np.floor(buffer.samples.size * RIR_RATE / src + 0.5))
+        if y.size < n_out:
+            y = np.concatenate([y, np.zeros(n_out - y.size)])
+        s = y[:n_out].astype(np.float32)
+    if s.size >= RIR_LENGTH:
+        s = s[:RIR_LENGTH]
+    else:
+        s = np.concatenate([s, np.zeros(RIR_LENGTH - s.size, dtype=np.float32)])
+    return Rir.from_samples(s)
+
+
+def _needed_prefix(rate):
+    """Input samples that reach the kept RIR samples, worked out from the tap
+    layout: the last kept output reads input up to
+    floor(((RIR_LENGTH - 1) * down + half) / up)."""
+    if rate == RIR_RATE:
+        return RIR_LENGTH
+    g = gcd(rate, RIR_RATE)
+    up, down = RIR_RATE // g, rate // g
+    half = audio._SINC_ZERO_CROSSINGS * max(up, down)
+    return ((RIR_LENGTH - 1) * down + half) // up + 1
+
+
+class TestToRirPrefix:
+    """to_rir resamples only the prefix it keeps and must give the same bits
+    as resampling the whole input."""
+
+    @pytest.mark.parametrize("rate", [8000, 11025, 16000, 22050, 32000, 44100,
+                                      48000, 96000])
+    def test_bit_equal_to_full_resample(self, rate):
+        rng = np.random.default_rng(rate)
+        n = _needed_prefix(rate)
+        for length in (n - 1, n, n + 1, int(1.5 * rate), 3 * rate):
+            x = AudioBuffer(rng.uniform(-0.5, 0.5, length).astype(np.float32), rate)
+            np.testing.assert_array_equal(to_rir(x).samples.view(np.int32),
+                                          _to_rir_full(x).samples.view(np.int32),
+                                          err_msg=f"{rate} Hz, {length} samples")
+        # where down is a multiple of up, the last sample of the prefix meets
+        # the outermost tap, a zero of the sinc that rounding leaves at about
+        # 1e-20; a huge sample there shows whether it was read
+        spiked = rng.uniform(-0.5, 0.5, n + 1).astype(np.float32)
+        spiked[n - 1] = 1e30
+        x = AudioBuffer(spiked, rate)
+        np.testing.assert_array_equal(to_rir(x).samples.view(np.int32),
+                                      _to_rir_full(x).samples.view(np.int32),
+                                      err_msg=f"{rate} Hz, spike at {n - 1}")
+
+    def test_taps_are_cached_and_read_only(self):
+        taps = audio._sinc_taps(1, 3)
+        assert taps is audio._sinc_taps(1, 3)
+        assert not taps.flags.writeable
+        with pytest.raises(ValueError):
+            taps[0] = 0.0
+
+
 class TestConvolve:
     def test_hand_example(self):
         x = AudioBuffer(np.float32([1, 2]), 16000)
@@ -260,8 +331,18 @@ class TestConvolve:
         np.testing.assert_allclose(out.samples, x.samples, atol=1e-7)
 
     def test_matches_direct_sum_oracle(self):
+        self._check_direct_sum(1256)
+
+    # result lengths n: 5-smooth (the FFT is n itself), a prime and a power
+    # of two plus one (the FFT is longer than n)
+    @pytest.mark.parametrize("n", [1000, 1009, 1025])
+    def test_matches_direct_sum_oracle_at_non_power_of_two_lengths(self, n):
+        self._check_direct_sum(n)
+
+    @staticmethod
+    def _check_direct_sum(n):
         rng = np.random.default_rng(42)
-        x = rng.uniform(-1, 1, 1000)
+        x = rng.uniform(-1, 1, n - 256)
         h = rng.uniform(-1, 1, 257)
         out = convolve(AudioBuffer(x.astype(np.float32), 16000),
                        AudioBuffer(h.astype(np.float32), 16000))
@@ -269,6 +350,27 @@ class TestConvolve:
                              h.astype(np.float32).astype(np.float64))
         peak = np.max(np.abs(direct))
         assert np.max(np.abs(out.samples - direct)) < 1e-6 * peak
+
+    def test_fft_length_is_5_smooth_and_at_most_the_power_of_two(self, monkeypatch):
+        lengths = []
+        rfft = np.fft.rfft
+
+        def spy(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return rfft(a, n, *args, **kwargs)
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        h = AudioBuffer(np.float32([1.0]), 16000)
+        for n in [*range(1, 1100), 144383, 2**17 + 1, 262143]:
+            lengths.clear()
+            convolve(AudioBuffer(np.ones(n, dtype=np.float32), 16000), h)
+            nfft = lengths[0]
+            assert lengths == [nfft, nfft]
+            assert n <= nfft <= 1 << (n - 1).bit_length(), n
+            m = nfft
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            assert m == 1, nfft
 
     def test_rate_mismatch(self):
         x = AudioBuffer(np.float32([1, 2]), 16000)

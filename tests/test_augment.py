@@ -49,6 +49,19 @@ class TestLoopedNoise:
         with pytest.raises(ValueError):
             looped_noise(buf([1, 2, 3]), k=-1, length=1)
 
+    def test_bit_equal_to_fancy_index_reference(self):
+        rng = np.random.default_rng(3)
+        n = 1000
+        noise = rng.standard_normal(n).astype(np.float32)
+        noise[[5, 6, 7]] = [-0.0, 1e-40, -np.finfo(np.float32).max]
+        for k in (0, 1, n - 1):
+            for length in (1, n - k, n - k + 1, n, 3 * n + 5):
+                # looped_noise as it was: one gather through (k + arange) % n
+                ref = noise[(k + np.arange(length)) % n]
+                out = looped_noise(buf(noise), k, length).samples
+                np.testing.assert_array_equal(out.view(np.int32), ref.view(np.int32),
+                                              err_msg=f"k={k}, length={length}")
+
     @settings(max_examples=30, deadline=None)
     @given(k=st.integers(0, 9), length=st.integers(1, 40))
     def test_wraparound_property(self, k, length):

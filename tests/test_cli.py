@@ -162,6 +162,12 @@ def _config(tmp, doc):
     return str(path)
 
 
+def _pool(tmp, text):
+    path = tmp / "pool.csv"
+    path.write_text(text)
+    return str(path)
+
+
 def _model(tmp):
     path = tmp / "model.gan"
     save_checkpoint(GanModel(Generator(1), Critic(1), d=1, step=0, seed=0), path)
@@ -215,6 +221,15 @@ BAD_INPUTS = {
         "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
         "--noise", str(ws / "noise.csv"),
         "--spec", _config(tmp, {"snr_range": [4000.0, 5000.0], "snr_in_db": True})],
+    "threads zero": lambda ws, tmp: [
+        "--threads", "0", "augment", "--clean", str(ws / "clean.csv"),
+        "--rirs", str(ws / "rirs.csv"), "--noise", str(ws / "noise.csv")],
+    "threads negative": lambda ws, tmp: [
+        "--threads", "-1", "augment", "--clean", str(ws / "clean.csv"),
+        "--rirs", str(ws / "rirs.csv"), "--noise", str(ws / "noise.csv")],
+    "pool row with empty id and path": lambda ws, tmp: [
+        "augment", "--clean", str(ws / "clean.csv"), "--rirs", _pool(tmp, ",,"),
+        "--noise", str(ws / "noise.csv")],
     "sizes not three": lambda ws, tmp: [
         "split", "--pool", str(ws / "rirs.csv"), "--sizes", "4,2"],
     "sizes not counts": lambda ws, tmp: [
@@ -289,3 +304,35 @@ def test_fuzz_mistyped_config_field_exits_2(config_commands, data):
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err.getvalue()
+
+
+def _csv_text(tokens):
+    """Hypothesis strategy for CSV text: lines of one to four comma-joined
+    fields, each field a run of tokens."""
+    field = st.lists(st.sampled_from(tokens), max_size=3).map("".join)
+    line = st.lists(field, min_size=1, max_size=4).map(",".join)
+    return st.lists(line, max_size=5).map("\n".join)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzz_clean_manifest_and_pool_csv_through_augment(workspace, data):
+    ws = workspace
+    files = {"clean": ws / "clean.csv", "rirs": ws / "rirs.csv", "noise": ws / "noise.csv"}
+    fuzzed = data.draw(st.sampled_from(sorted(files)))
+    path = str(ws / ("rir_0.wav" if fuzzed == "rirs" else "clean_0.wav"))
+    punctuation = [",", '"', "#", "", "\r", "\x1c", " "]
+    text = data.draw(_csv_text(punctuation + ["u0", "id", "utt_id", path]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "fuzzed.csv").write_text(text)
+        files[fuzzed] = tmp / "fuzzed.csv"
+        with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
+            rc = main(["--out-dir", str(tmp / "out"), "augment",
+                       "--clean", str(files["clean"]), "--rirs", str(files["rirs"]),
+                       "--noise", str(files["noise"])])
+    assert rc in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

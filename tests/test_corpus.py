@@ -168,6 +168,19 @@ class TestPoolCsv:
         with pytest.raises(ValueError):
             read_pool_csv(p)
 
+    @pytest.mark.parametrize("row", [",,", ",BUT,/x/a.wav", "a,BUT,", '"",BUT,""',
+                                     "a,BUT,,room1"])
+    def test_rejects_empty_id_or_path(self, tmp_path, row):
+        p = tmp_path / "empty.csv"
+        p.write_text(f"id,source,path\nok,BUT,/x/ok.wav\n{row}\n")
+        with pytest.raises(ValueError, match=r"empty\.csv: line 3: empty id or path"):
+            read_pool_csv(p)
+
+    def test_empty_source_is_kept(self, tmp_path):
+        p = tmp_path / "pool.csv"
+        p.write_text("a,,/x/a.wav\n")
+        assert read_pool_csv(p).entries == (PoolEntry("a", "", "/x/a.wav"),)
+
     def test_stratification_key_round_trip(self, tmp_path):
         pool = RirPool((PoolEntry("a", "BUT", "/x/a.wav", strat_key="room1"),
                         PoolEntry("b", "BUT", "/x/b.wav", strat_key="room2")))
