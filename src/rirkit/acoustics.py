@@ -57,14 +57,14 @@ class AcousticParams:
 
 @dataclass(frozen=True)
 class DecayCurve:
-    """Schroeder decay curve in dB, one value per sample at RIR_RATE, 0 dB at
-    index 0, monotonically non-increasing."""
+    """The one pass the four estimators share: the Schroeder decay curve in dB
+    (`values`, one per sample at RIR_RATE, 0 dB at index 0, non-increasing),
+    the float64 squared response, its sum and the index of the absolute peak."""
 
     values: np.ndarray
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.size) / RIR_RATE
+    energy: np.ndarray
+    total: float
+    peak: int
 
 
 def _samples(rir: RirLike) -> np.ndarray:
@@ -86,19 +86,18 @@ def energy_decay_curve(rir: RirLike) -> DecayCurve:
     s = _samples(rir)
     energy = s * s
     tail = np.cumsum(energy[::-1])[::-1]
-    total = tail[0]
-    if total <= 0.0:
+    if tail[0] <= 0.0:
         raise ValueError("zero-energy impulse response")
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(tail / total)
-    return DecayCurve(np.maximum(db, EDC_FLOOR_DB))
+        db = 10.0 * np.log10(tail / tail[0])
+    # the peak of |s|, not of energy: squares of float64 samples can tie
+    # where the magnitudes do not
+    return DecayCurve(np.maximum(db, EDC_FLOOR_DB), energy, float(energy.sum()),
+                      int(np.argmax(np.abs(s))))
 
 
-def _fit_line(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Least-squares line v ~ slope*t + intercept."""
-    a = np.vstack([t, np.ones_like(t)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(a, v, rcond=None)
-    return float(slope), float(intercept)
+def _curve(x: RirLike | DecayCurve) -> DecayCurve:
+    return x if isinstance(x, DecayCurve) else energy_decay_curve(x)
 
 
 def _first_at_or_below(v: np.ndarray, level: float, parameter: str) -> int:
@@ -110,83 +109,75 @@ def _first_at_or_below(v: np.ndarray, level: float, parameter: str) -> int:
     return int(idx[0])
 
 
-def estimate_t60(rir: RirLike) -> float:
+def _decay_slope(v: np.ndarray, lo: int, hi: int, parameter: str) -> float:
+    """Least-squares slope, in dB/s, of the decay curve over samples lo..hi."""
+    t = np.arange(lo, hi + 1) / RIR_RATE
+    a = np.vstack([t, np.ones_like(t)]).T
+    slope = np.linalg.lstsq(a, v[lo : hi + 1], rcond=None)[0][0]
+    if slope >= 0.0:
+        raise EstimationError("non-decaying energy curve", parameter)
+    return float(slope)
+
+
+def estimate_t60(rir: RirLike | DecayCurve) -> float:
     """Reverberation time from the T20 span: least-squares line over the
     [-5 dB, -25 dB] stretch of the decay curve, extrapolated to 60 dB
     (T60 = -60 / slope)."""
-    edc = energy_decay_curve(rir)
-    v = edc.values
+    v = _curve(rir).values
     i5 = _first_at_or_below(v, -5.0, "t60")
     i25 = _first_at_or_below(v, -25.0, "t60")
     if i25 - i5 < 1:
         raise EstimationError("decay from -5 to -25 dB is instantaneous", "t60")
-    t = edc.times
-    slope, _ = _fit_line(t[i5 : i25 + 1], v[i5 : i25 + 1])
-    if slope >= 0.0:
-        raise EstimationError("non-decaying energy curve", "t60")
-    return -60.0 / slope
+    return -60.0 / _decay_slope(v, i5, i25, "t60")
 
 
-def estimate_edt(rir: RirLike) -> float:
+def estimate_edt(rir: RirLike | DecayCurve) -> float:
     """Early decay time: 6x the time to fall 10 dB, from a least-squares fit
     over the [0 dB, -10 dB] stretch.
 
     The fit starts at the last sample still at 0 dB, so pre-delay silence
     (which holds the curve at 0) does not flatten the fitted slope.
     """
-    edc = energy_decay_curve(rir)
-    v = edc.values
+    v = _curve(rir).values
     i10 = _first_at_or_below(v, -10.0, "edt")
     start_candidates = np.nonzero(v[: i10 + 1] >= -1e-9)[0]
     start = int(start_candidates[-1]) if start_candidates.size else 0
     if i10 - start < 2:
         raise EstimationError("no resolvable decay region above -10 dB", "edt")
-    t = edc.times
-    slope, _ = _fit_line(t[start : i10 + 1], v[start : i10 + 1])
-    if slope >= 0.0:
-        raise EstimationError("non-decaying energy curve", "edt")
-    return 6.0 * (-10.0 / slope)
+    return 6.0 * (-10.0 / _decay_slope(v, start, i10, "edt"))
 
 
-def _clamped_ratio_db(numerator: float, denominator: float) -> float:
-    val = 10.0 * np.log10(numerator / (denominator + _EPS)) if numerator > 0 else -np.inf
+def _ratio_db(curve: DecayCurve, lo: int, hi: int) -> float:
+    """Energy of samples lo..hi-1 against the rest, in dB, clamped to
+    +-DB_CLAMP."""
+    part = float(curve.energy[lo:hi].sum())
+    rest = curve.total - part
+    val = 10.0 * np.log10(part / (rest + _EPS)) if part > 0 else -np.inf
     return float(np.clip(val, -DB_CLAMP, DB_CLAMP))
 
 
-def estimate_drr(rir: RirLike) -> float:
+def estimate_drr(rir: RirLike | DecayCurve) -> float:
     """Direct-to-reverberant ratio in dB: energy within +-2.5 ms (_DRR_WINDOW
     samples) of the absolute peak versus everything else, clamped to +-120 dB."""
-    s = _samples(rir)
-    energy = s * s
-    total = float(energy.sum())
-    if total <= 0.0:
-        raise ValueError("zero-energy impulse response")
-    peak = int(np.argmax(np.abs(s)))
-    lo, hi = max(0, peak - _DRR_WINDOW), min(s.size, peak + _DRR_WINDOW + 1)
-    direct = float(energy[lo:hi].sum())
-    return _clamped_ratio_db(direct, total - direct)
+    c = _curve(rir)
+    return _ratio_db(c, max(0, c.peak - _DRR_WINDOW), c.peak + _DRR_WINDOW + 1)
 
 
-def estimate_cte(rir: RirLike) -> float:
+def estimate_cte(rir: RirLike | DecayCurve) -> float:
     """Early-to-late index in dB: energy up to 50 ms (_CTE_SPLIT samples) past
     the direct-sound peak versus the remainder, clamped to +-120 dB."""
-    s = _samples(rir)
-    energy = s * s
-    total = float(energy.sum())
-    if total <= 0.0:
-        raise ValueError("zero-energy impulse response")
-    peak = int(np.argmax(np.abs(s)))
-    split = min(s.size, peak + _CTE_SPLIT)
-    early = float(energy[:split].sum())
-    return _clamped_ratio_db(early, total - early)
+    c = _curve(rir)
+    return _ratio_db(c, 0, c.peak + _CTE_SPLIT)
 
 
 def analyze(rir: RirLike) -> AcousticParams:
-    """All four parameter estimates for one impulse response at RIR_RATE.
-    Deterministic; propagates EstimationError from the decay-based estimators."""
+    """All four parameter estimates for one impulse response at RIR_RATE,
+    from one decay curve. Deterministic; propagates EstimationError from the
+    decay-based estimators."""
+    c = energy_decay_curve(rir)
     return AcousticParams(
-        t60=estimate_t60(rir), drr=estimate_drr(rir),
-        edt=estimate_edt(rir), cte=estimate_cte(rir),
+        t60=estimate_t60(c), drr=estimate_drr(c),
+        edt=estimate_edt(c), cte=estimate_cte(c),
     )
 
 

@@ -54,10 +54,6 @@ class AudioBuffer:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def duration(self) -> float:
-        return self.samples.size / self.sample_rate
-
 
 @dataclass(frozen=True)
 class Rir:

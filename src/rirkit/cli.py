@@ -123,7 +123,7 @@ def _cmd_train(args) -> int:
     result = train(dataset, config, out_dir=args.out_dir)
     last = result.log[-1]
     print(f"trained {config.steps} generator steps "
-          f"({result.critic_updates} critic updates); final wasserstein "
+          f"({config.steps * config.n_critic} critic updates); final wasserstein "
           f"estimate {last.wasserstein_estimate:.4f}")
     print(f"wrote {args.out_dir / 'checkpoint_final.gan'} and training_log.csv")
     return 0

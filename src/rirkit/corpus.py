@@ -40,9 +40,6 @@ class RirPool:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def ids(self) -> list[str]:
-        return [e.id for e in self.entries]
-
     def source_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         for e in self.entries:

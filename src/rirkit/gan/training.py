@@ -72,10 +72,6 @@ class LogRow:
 class TrainResult:
     model: GanModel
     log: list[LogRow] = field(default_factory=list)
-    critic_updates: int = 0
-
-    def wasserstein_series(self) -> np.ndarray:
-        return np.array([r.wasserstein_estimate for r in self.log])
 
 
 def critic_loss(real_scores: np.ndarray, fake_scores: np.ndarray) -> float:
@@ -206,7 +202,6 @@ def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
             critic.backward(gs_critic, input_grad=False)
             c_opt.step(critic.grad_arrays())
             clip_weights(critic, config.clip_c)
-            result.critic_updates += 1
 
         z = sample_latent(rng, b, config.latent_dist)
         fake = gen.forward(z)

@@ -59,10 +59,17 @@ class Histogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.float64)
-        counts = np.asarray(self.counts, dtype=np.int64)
-        if edges.ndim != 1 or counts.ndim != 1 or counts.size != edges.size - 1:
-            raise ValueError("need len(counts) == len(edges) - 1")
+        edges, counts = np.asarray(self.edges), np.asarray(self.counts)
+        if edges.dtype.kind not in "iuf":
+            raise ValueError("bin edges must be numbers")
+        if counts.dtype.kind != "i":
+            raise ValueError("counts must be int64 integers")
+        edges, counts = edges.astype(np.float64), counts.astype(np.int64)
+        if (edges.ndim != 1 or counts.ndim != 1 or counts.size != edges.size - 1
+                or counts.size == 0):
+            raise ValueError("need len(counts) == len(edges) - 1 >= 1")
+        if not np.all(np.isfinite(edges)):
+            raise ValueError("bin edges must be finite")
         if np.any(np.diff(edges) <= 0):
             raise ValueError("bin edges must be strictly increasing")
         if np.any(counts < 0):
@@ -107,12 +114,13 @@ class ParamHistograms:
     total_count: int
 
     def __post_init__(self):
-        if self.total_count < 1:
-            raise ValueError("histograms must cover at least one training RIR")
+        if type(self.total_count) is not int or self.total_count < 1:
+            raise ValueError("total_count must be an integer >= 1")
         for name in PARAM_NAMES:
-            h: Histogram = getattr(self, name)
-            if int(h.counts.sum()) != self.total_count:
-                raise ValueError(f"{name} counts sum to {h.counts.sum()}, "
+            # summed as Python ints, which cannot wrap as an int64 sum can
+            total = sum(getattr(self, name).counts.tolist())
+            if total != self.total_count:
+                raise ValueError(f"{name} counts sum to {total}, "
                                  f"expected {self.total_count}")
 
     def __getitem__(self, name: str) -> Histogram:
@@ -156,10 +164,6 @@ class AcceptDecision:
 
     def __bool__(self) -> bool:
         return self.accepted
-
-    @property
-    def reason(self) -> str:
-        return ",".join(self.violations) if self.violations else "in-support"
 
 
 def accept(p: AcousticParams, hists: ParamHistograms, relax_prob: float,
@@ -281,16 +285,29 @@ def _field(doc, *keys):
     return doc
 
 
+def _histogram(doc, name: str) -> Histogram:
+    """params.<name> of a histogram JSON: edges a list of JSON numbers,
+    counts a list of JSON integers. A bool, string, null, nested list or
+    fraction (2.0 included) is a ValueError naming the field."""
+    arrays = []
+    for key, kinds in (("edges", (int, float)), ("counts", (int,))):
+        value = _field(doc, "params", name, key)
+        if not isinstance(value, list) or not all(type(v) in kinds for v in value):
+            raise ValueError(f"params.{name}.{key} must be a list of JSON "
+                             f"{'numbers' if key == 'edges' else 'integers'}")
+        arrays.append(np.array(value))  # object dtype past int64: refused
+    try:
+        return Histogram(*arrays)
+    except ValueError as exc:
+        raise ValueError(f"params.{name}: {exc}") from None
+
+
 def load_histograms(path: str | Path) -> ParamHistograms:
     """Read save_histograms' JSON; a missing or malformed field is a
-    ValueError naming the path."""
+    ValueError naming the path and the field."""
     try:
         doc = json.loads(Path(path).read_text())
-        return ParamHistograms(
-            **{name: Histogram(np.array(_field(doc, "params", name, "edges")),
-                               np.array(_field(doc, "params", name, "counts")))
-               for name in PARAM_NAMES},
-            total_count=int(_field(doc, "total_count")),
-        )
+        return ParamHistograms(**{name: _histogram(doc, name) for name in PARAM_NAMES},
+                               total_count=_field(doc, "total_count"))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from exc

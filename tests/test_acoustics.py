@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import rirkit.acoustics as acoustics
 from rirkit.acoustics import (
     EstimationError,
     analyze,
@@ -12,7 +13,9 @@ from rirkit.acoustics import (
     write_params_csv,
 )
 from rirkit.audio import RIR_LENGTH, RIR_RATE, Rir
+from rirkit.gan.nets import Generator, sample_latent
 
+import _acoustics_reference as reference
 from conftest import exp_decay, exp_decay_rir, noise_rir, signal_from_decay_curve
 
 
@@ -195,3 +198,111 @@ def test_params_csv(tmp_path):
     assert fields[0] == "rir_a"
     assert float(fields[1]) == pytest.approx(p.t60, abs=1e-6)
     assert all(len(f.split(".")[1]) == 6 for f in fields[1:])
+
+
+def _squares_tie() -> np.ndarray:
+    """Two peaks whose squares round to the same subnormal: the larger
+    magnitude, at 5000, comes after the other."""
+    b = 1.5e-160
+    s = np.zeros(8000)
+    s[10], s[5000] = b, np.nextafter(b, 1.0)
+    s[5001:5400] = b / 2
+    return s
+
+
+def _reference_inputs():
+    """Responses that reach every branch of the estimators: fits, the
+    instantaneous and never-reached decay errors, both clamps of the energy
+    ratios, peak ties, and the zero-energy and shape errors."""
+    cases = {}
+    for d in (0, 37, 800, 5000):
+        h = np.concatenate([np.zeros(d), exp_decay(0.4)])[:RIR_LENGTH]
+        cases[f"predelay{d}"] = Rir.from_samples(h.astype(np.float32))
+        cases[f"predelay{d}_f64"] = h
+    delta = np.zeros(RIR_LENGTH)
+    delta[0] = 1.0
+    cases["delta"] = Rir.from_samples(delta.astype(np.float32))
+    cases["delta_late_f64"] = np.roll(delta, 9000)
+    twin = exp_decay(0.3) * np.random.default_rng(1).standard_normal(RIR_LENGTH) * 0.1
+    twin[[100, 3000]] = [1.0, -1.0]
+    cases["two_equal_peaks"] = Rir.from_samples(twin.astype(np.float32))
+    cases["two_equal_peaks_f64"] = twin
+    huge = exp_decay(0.3).copy()
+    huge[[10, 500]] = [1e200, -2e200]
+    cases["overflow_f64"] = huge
+    cases["squares_tie_f64"] = _squares_tie()
+    gen = Generator(4, rng=np.random.default_rng(4))
+    waves = gen.forward(sample_latent(np.random.default_rng(5), 6))
+    for i, wave in enumerate(waves):
+        cases[f"generator{i}"] = Rir.from_samples(wave)
+        cases[f"generator{i}_f32"] = wave
+    rng = np.random.default_rng(6)
+    cases["noise_rir"] = noise_rir(0.6, rng)
+    cases["noise_f32"] = noise_rir(0.9, rng).samples[:5000]
+    cases["white_f64"] = rng.standard_normal(3000)
+    cases["one_sample"] = np.ones(1)
+    cases["zero_energy"] = np.zeros(64)
+    cases["empty"] = np.zeros(0)
+    cases["two_d"] = np.ones((2, 8))
+    return cases
+
+
+REFERENCE_INPUTS = _reference_inputs()
+ESTIMATORS = ("estimate_t60", "estimate_drr", "estimate_edt", "estimate_cte")
+
+
+def _outcome(fn, *args):
+    """Bit view of fn's result, or its exception's type, parameter and
+    message."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = fn(*args)
+    except ValueError as exc:
+        return type(exc), getattr(exc, "parameter", None), str(exc)
+    if isinstance(out, acoustics.AcousticParams):
+        out = (out.t60, out.drr, out.edt, out.cte)
+    return np.array(out, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestSinglePassMatchesReference:
+    """analyze builds one DecayCurve and hands it to all four estimators; the
+    results must be those of the per-estimator passes kept in
+    _acoustics_reference, bit for bit and error for error."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_INPUTS))
+    def test_bit_equal(self, name):
+        x = REFERENCE_INPUTS[name]
+        assert _outcome(analyze, x) == _outcome(reference.analyze, x)
+        ref_curve = _outcome(reference.energy_decay_curve, x)
+        assert _outcome(lambda r: energy_decay_curve(r).values, x) == ref_curve
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):
+                curve = energy_decay_curve(x)
+        except ValueError:
+            curve = None
+        for est in ESTIMATORS:
+            want = _outcome(getattr(reference, est), x)
+            assert _outcome(getattr(acoustics, est), x) == want, est
+            if curve is not None:
+                assert _outcome(getattr(acoustics, est), curve) == want, est
+
+    def test_peak_is_largest_magnitude(self):
+        s = _squares_tie()
+        assert np.argmax(s * s) == 10
+        assert energy_decay_curve(s).peak == 5000
+
+    def test_inputs_reach_every_outcome(self):
+        """The cases above are only a check if they cover successes and each
+        kind of failure."""
+        seen = set()
+        for x in REFERENCE_INPUTS.values():
+            for est in ESTIMATORS:
+                out = _outcome(getattr(reference, est), x)
+                seen.add(out[2] if isinstance(out, tuple) else "ok")
+        assert "ok" in seen
+        assert {"zero-energy impulse response",
+                "impulse response must be a non-empty 1-D vector",
+                "decay from -5 to -25 dB is instantaneous",
+                "no resolvable decay region above -10 dB"} <= seen
+        assert any(isinstance(m, str) and m.startswith("decay curve never reaches")
+                   for m in seen)

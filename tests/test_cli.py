@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import tempfile
 import typing
 from contextlib import redirect_stderr, redirect_stdout
@@ -336,3 +337,100 @@ def test_fuzz_clean_manifest_and_pool_csv_through_augment(workspace, data):
     if rc == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _valid_histogram_doc(doc) -> bool:
+    """What load_histograms must accept, written out independently: per
+    parameter, at least two strictly increasing finite edges and one
+    non-negative int64 count per bin (no bools, no fractions), and every
+    parameter's counts summing to an integer total_count >= 1."""
+    def numbers(v, kinds):
+        return isinstance(v, list) and all(type(x) in kinds for x in v)
+
+    if not (isinstance(doc, dict) and isinstance(doc.get("params"), dict)):
+        return False
+    total = doc.get("total_count")
+    if type(total) is not int or total < 1:
+        return False
+    for name in ("t60", "drr", "edt", "cte"):
+        h = doc["params"].get(name)
+        if not isinstance(h, dict):
+            return False
+        edges, counts = h.get("edges"), h.get("counts")
+        if not (numbers(edges, (int, float)) and numbers(counts, (int,))
+                and len(edges) >= 2 and len(counts) == len(edges) - 1):
+            return False
+        if not all(math.isfinite(e) for e in edges) or any(
+                b <= a for a, b in zip(edges, edges[1:])):
+            return False
+        if any(not 0 <= c < 2**63 for c in counts) or sum(counts) != total:
+            return False
+    return True
+
+
+def _histogram_mutation(doc, data):
+    """Apply one drawn defect to the histogram document ``doc`` in place: a
+    dropped key, a wrong JSON type, a NaN/Infinity, nested, negative, huge
+    or non-integer list element, or a total_count the sums may not match."""
+    name = data.draw(st.sampled_from(["t60", "drr", "edt", "cte"]))
+    key = data.draw(st.sampled_from(["edges", "counts"]))
+    params = doc["params"] if isinstance(doc.get("params"), dict) else {}
+    h = params[name] if isinstance(params.get(name), dict) else {}
+    defect = data.draw(st.sampled_from(["drop", "retype", "non-finite", "nested",
+                                        "negative", "huge", "not an integer", "sum"]))
+    if defect in ("drop", "retype"):
+        owner, k = data.draw(st.sampled_from([(doc, "total_count"), (doc, "params"),
+                                              (params, name), (h, key)]))
+        if defect == "drop":
+            owner.pop(k, None)
+        else:
+            owner[k] = data.draw(st.sampled_from([None, True, "1", {}, [], 2.5]))
+    elif defect == "sum":
+        doc["total_count"] = data.draw(st.integers(-2, 2**64))
+    elif isinstance(h.get(key), list) and h[key]:
+        values = h[key]
+        i = data.draw(st.integers(0, len(values) - 1))
+        values[i] = data.draw({
+            "non-finite": st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+            "nested": st.just([values[i]]),
+            "negative": st.integers(max_value=-1),
+            "huge": st.sampled_from([2**63, 10**30, 1e30, 1e300]),
+            "not an integer": st.sampled_from([2.0, 0.5, True, "1"]),
+        }[defect])
+
+
+@pytest.fixture(scope="module")
+def generate_inputs(workspace, tmp_path_factory):
+    """A d=1 checkpoint and a valid histogram JSON of the workspace RIRs."""
+    tmp = tmp_path_factory.mktemp("histfuzz")
+    return _model(tmp), _hist(workspace, tmp)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzz_histogram_json_through_generate(generate_inputs, data):
+    """A histogram document with dropped keys, wrong JSON types, NaN/Infinity
+    literals, nested lists, negative or huge counts or unmatched sums is bad
+    input: exit 2, one error line, no traceback, nothing written."""
+    model, valid_hist = generate_inputs
+    doc = json.loads(Path(valid_hist).read_text())
+    for _ in range(data.draw(st.integers(1, 2))):
+        _histogram_mutation(doc, data)
+    valid = _valid_histogram_doc(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        hist = tmp / "hists.json"
+        hist.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+        out = tmp / "out"
+        with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
+            rc = main(["--out-dir", str(out), "generate", "--model", model,
+                       "--hist", str(hist), "-n", "1",
+                       "--config", _config(tmp, {"max_tries_per_sample": 3})])
+        written = out.exists()
+    assert "Traceback" not in err.getvalue()
+    if valid:  # may generate, or stall on the untrained model (exit 2)
+        assert rc in (0, 2)
+        return
+    assert rc == 2 and not written
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

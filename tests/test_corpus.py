@@ -18,6 +18,10 @@ from rirkit.corpus import (
 from conftest import noise_rir
 
 
+def _ids(pool: RirPool) -> list[str]:
+    return [e.id for e in pool.entries]
+
+
 def fake_pool(n, source="BUT", prefix="r"):
     return RirPool(tuple(
         PoolEntry(f"{prefix}{i:04d}", source, f"/data/{prefix}{i:04d}.wav")
@@ -30,23 +34,23 @@ class TestSplit:
         pool = fake_pool(1209)
         train, dev, test = split(pool, SplitSpec((773, 194, 242), rng_seed=1))
         assert (len(train), len(dev), len(test)) == (773, 194, 242)
-        ids = [set(p.ids()) for p in (train, dev, test)]
-        assert ids[0] | ids[1] | ids[2] == set(pool.ids())
+        ids = [set(_ids(p)) for p in (train, dev, test)]
+        assert ids[0] | ids[1] | ids[2] == set(_ids(pool))
         assert not (ids[0] & ids[1]) and not (ids[0] & ids[2]) and not (ids[1] & ids[2])
 
     def test_degenerate_split(self):
         pool = fake_pool(3)
         train, dev, test = split(pool, SplitSpec((3, 0, 0), rng_seed=0))
-        assert set(train.ids()) == set(pool.ids())
+        assert set(_ids(train)) == set(_ids(pool))
         assert len(dev) == 0 and len(test) == 0
 
     def test_seed_determinism_and_sensitivity(self):
         pool = fake_pool(20)
         a = split(pool, SplitSpec((10, 5, 5), rng_seed=4))
         b = split(pool, SplitSpec((10, 5, 5), rng_seed=4))
-        assert [p.ids() for p in a] == [p.ids() for p in b]
+        assert [_ids(p) for p in a] == [_ids(p) for p in b]
         c = split(pool, SplitSpec((10, 5, 5), rng_seed=5))
-        assert [p.ids() for p in a] != [p.ids() for p in c]
+        assert [_ids(p) for p in a] != [_ids(p) for p in c]
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -74,8 +78,8 @@ class TestSplit:
         pool = fake_pool(n)
         parts = split(pool, SplitSpec((a, b, n - a - b), rng_seed=seed))
         assert [len(p) for p in parts] == [a, b, n - a - b]
-        combined = [i for p in parts for i in p.ids()]
-        assert len(combined) == n and set(combined) == set(pool.ids())
+        combined = [i for p in parts for i in _ids(p)]
+        assert len(combined) == n and set(combined) == set(_ids(pool))
 
 
 class TestCompose:
@@ -89,14 +93,14 @@ class TestCompose:
     def test_identity_on_full_single_pool(self):
         pool = fake_pool(10)
         out = compose_pool([(pool, 10)], rng_seed=0)
-        assert sorted(out.ids()) == sorted(pool.ids())
+        assert sorted(_ids(out)) == sorted(_ids(pool))
 
     def test_deterministic_subsample(self):
         a = fake_pool(5, prefix="a")
         b = fake_pool(5, source="GAS", prefix="b")
         out1 = compose_pool([(a, 2), (b, 1)], rng_seed=9)
         out2 = compose_pool([(a, 2), (b, 1)], rng_seed=9)
-        assert out1.ids() == out2.ids()
+        assert _ids(out1) == _ids(out2)
         assert len(out1) == 3
 
     def test_count_exceeds_pool(self):
@@ -159,7 +163,7 @@ class TestPoolCsv:
         text = p.read_text()
         assert text.startswith("# seed=7\n# sizes=2,1,1\n")
         back = read_pool_csv(p)
-        assert back.ids() == pool.ids()
+        assert _ids(back) == _ids(pool)
         assert [e.source for e in back.entries] == ["GAS"] * 4
 
     def test_rejects_malformed_rows(self, tmp_path):

@@ -11,7 +11,6 @@ from rirkit.gan import (
     save_checkpoint,
     train,
 )
-from rirkit.gan.gradcheck import numeric_gradient, relative_error
 from rirkit.gan.layers import (
     Conv1d,
     ConvTranspose1d,
@@ -22,6 +21,8 @@ from rirkit.gan.layers import (
     Tanh,
 )
 from rirkit.gan.nets import Critic, Generator
+
+from _gradcheck import numeric_gradient, relative_error
 
 RNG = np.random.default_rng(20240521)
 

@@ -17,6 +17,8 @@ import rirkit.gan.training as training
 import rirkit.sampler as sampler
 from rirkit.gan.layers import Conv1d, ConvTranspose1d
 
+from conftest import exp_decay_rir
+
 OWNERS = (acoustics, audio, augment, corpus, checkpoint, nets, training, sampler,
           nets.Generator, nets.Critic, training.RMSProp)
 
@@ -53,3 +55,24 @@ def test_trace_targets_exist_and_uninstall_restores():
         now = vars(owner)
         assert now.keys() == snapshot.keys(), owner
         assert all(now[k] is v for k, v in snapshot.items()), owner
+
+
+def test_analyze_traces_one_decay_curve():
+    """One sampler.analyze call builds one decay curve and hands it to the
+    four estimators, each of which the tracer sees as a child span."""
+    rir = exp_decay_rir(0.5)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        sampler.analyze(rir)
+    finally:
+        tracer.uninstall()
+    assert tracer.problems == []
+    names = [span[0] for span in tracer.spans]
+    assert names.count("acoustics.analyze") == 1
+    top = names.index("acoustics.analyze")
+    children = sorted(span[0] for span in tracer.spans if span[3] == top)
+    assert children == sorted(names[:top] + names[top + 1:])
+    assert children == ["acoustics.cte", "acoustics.drr", "acoustics.edc",
+                        "acoustics.edt", "acoustics.t60"]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -72,14 +73,13 @@ class TestAccept:
                           relax_prob=0.0, rng=np.random.default_rng(0))
         assert not decision
         assert decision.violations == ("t60",)
-        assert decision.reason == "t60"
 
     def test_training_values_accepted(self):
         hists = uniform_hists()
         decision = accept(params(t60=0.5, drr=0.5, edt=0.5, cte=0.5), hists,
                           relax_prob=0.0, rng=np.random.default_rng(0))
         assert decision
-        assert decision.reason == "in-support"
+        assert decision.violations == ()
 
     def test_relaxation_boundary(self):
         hists = uniform_hists()
@@ -154,6 +154,71 @@ class TestHistogramPrimitives:
         with pytest.raises(ValueError) as err:
             load_histograms(p)
         assert str(p) in str(err.value) and missing in str(err.value)
+
+    @pytest.mark.parametrize("key, index, value, field", [
+        ("edges", 1, float("nan"), "params.drr: bin edges must be finite"),
+        ("edges", 0, float("-inf"), "params.drr: bin edges must be finite"),
+        ("edges", 0, "0", "params.drr.edges"),
+        ("edges", 0, True, "params.drr.edges"),
+        ("edges", 0, 10**400, "params.drr: bin edges must be numbers"),
+        ("counts", 0, 1.2, "params.drr.counts"),
+        ("counts", 0, 2.0, "params.drr.counts"),
+        ("counts", 0, 1e30, "params.drr.counts"),
+        ("counts", 0, 10**30, "params.drr: counts must be int64 integers"),
+        ("counts", 0, 2**63, "params.drr: counts must be int64 integers"),
+        ("counts", 0, False, "params.drr.counts"),
+        ("counts", 0, [1], "params.drr.counts"),
+        ("counts", 0, -1, "params.drr: counts must be non-negative"),
+        ("total_count", None, 300.0, "total_count"),
+        ("total_count", None, 1.9, "total_count"),
+        ("total_count", None, True, "total_count"),
+    ])
+    def test_load_refuses_malformed_values(self, tmp_path, key, index, value, field):
+        p = tmp_path / "h.json"
+        save_histograms(uniform_hists(), p)
+        doc = json.loads(p.read_text())
+        if index is None:
+            doc[key] = value
+        else:
+            doc["params"]["drr"][key][index] = value
+        p.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                load_histograms(p)
+        assert str(err.value).startswith(f"{p}: {field}")
+
+    def test_load_refuses_counts_whose_int64_sum_wraps(self, tmp_path):
+        p = tmp_path / "h.json"
+        hists = uniform_hists(n=3, count=1)
+        save_histograms(hists, p)
+        doc = json.loads(p.read_text())
+        doc["params"]["cte"]["counts"] = [2**63 - 1, 2**63 - 1, 5]  # wraps to 3
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="cte counts sum to"):
+            load_histograms(p)
+
+    @pytest.mark.parametrize("edges, counts", [
+        ([0.0, np.nan, 1.0], [1, 1]),
+        ([0.0, np.inf], [1]),
+        (["0", "1"], [1]),
+        ([0.0, 1.0], [1.2]),
+        ([0.0, 1.0], [1e30]),
+        ([0.0, 1.0], [True]),
+        ([0.0], np.array([], dtype=np.int64)),
+    ])
+    def test_histogram_refuses_malformed_values(self, edges, counts):
+        with pytest.raises(ValueError):
+            Histogram(np.array(edges), np.array(counts))
+
+    def test_build_histograms_keeps_numpy_histogram(self):
+        values = np.random.default_rng(3).uniform(0.2, 1.5, 50)
+        h = build_histograms([params(t60=v) for v in values],
+                             SamplerConfig(bins_per_param=7)).t60
+        counts, edges = np.histogram(values, np.linspace(values.min(), values.max(), 8))
+        assert h.edges.dtype == np.float64 and h.counts.dtype == np.int64
+        np.testing.assert_array_equal(h.edges, edges)
+        np.testing.assert_array_equal(h.counts, counts)
 
     @pytest.mark.parametrize("doc", ["[]", '{"params": 3}', '{"params": {"t60": []}}'])
     def test_load_rejects_wrong_shapes(self, tmp_path, doc):
