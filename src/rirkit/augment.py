@@ -171,8 +171,20 @@ def write_manifest(records: Sequence[MixRecord], path: str | Path) -> None:
 
 
 def read_manifest(path: str | Path) -> list[MixRecord]:
-    return [MixRecord.from_json(line)
-            for line in Path(path).read_text().splitlines() if line.strip()]
+    """Read manifest.jsonl. A line that is not JSON raises ValueError; one that
+    is not an object, or has a missing, unknown or mistyped key, raises
+    TypeError. Either message names the file and the line."""
+    records = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            records.append(MixRecord.from_json(line))
+        except TypeError as exc:
+            raise TypeError(f"{path}: line {lineno}: {exc}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    return records
 
 
 def _utt_rng(global_seed: int, utt_id: str) -> np.random.Generator:
@@ -205,6 +217,12 @@ def augment_corpus(
 
     if len(rir_pool.entries) == 0 or len(noise_pool.entries) == 0:
         raise ValueError("rir and noise pools must be non-empty")
+    for kind, pool in (("rir", rir_pool), ("noise", noise_pool)):
+        paths: dict[str, str] = {}  # the caches below are keyed by id
+        for e in pool.entries:
+            if paths.setdefault(e.id, e.path) != e.path:
+                raise ValueError(f"{kind} pool id {e.id!r} names two files: "
+                                 f"{paths[e.id]} and {e.path}")
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
 

@@ -32,7 +32,6 @@ class PoolEntry:
 @dataclass(frozen=True)
 class RirPool:
     entries: tuple[PoolEntry, ...]
-    notes: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
@@ -70,12 +69,7 @@ def split(pool: RirPool, spec: SplitSpec) -> tuple[RirPool, RirPool, RirPool]:
     rng = np.random.default_rng(spec.rng_seed)
     order = rng.permutation(len(pool))
     shuffled = [pool.entries[i] for i in order]
-    note = f"split seed={spec.rng_seed} sizes={a},{b},{c}"
-    return (
-        RirPool(tuple(shuffled[:a]), notes=note + " part=train"),
-        RirPool(tuple(shuffled[a : a + b]), notes=note + " part=dev"),
-        RirPool(tuple(shuffled[a + b :]), notes=note + " part=test"),
-    )
+    return (RirPool(shuffled[:a]), RirPool(shuffled[a : a + b]), RirPool(shuffled[a + b :]))
 
 
 def compose_pool(parts: Sequence[tuple[RirPool, int]], rng_seed: int = 0) -> RirPool:
@@ -88,7 +82,7 @@ def compose_pool(parts: Sequence[tuple[RirPool, int]], rng_seed: int = 0) -> Rir
             raise ValueError(f"requested {count} entries from a pool of {len(pool)}")
         idx = rng.choice(len(pool), size=count, replace=False)
         entries.extend(pool.entries[i] for i in idx)
-    return RirPool(tuple(entries), notes=f"composed seed={rng_seed}")
+    return RirPool(entries)
 
 
 @dataclass
@@ -138,12 +132,8 @@ def read_pool_csv(path: str | Path) -> RirPool:
     """Read a pool CSV. A row with an empty id or an empty path is refused
     with a ValueError naming the file and the line."""
     entries = []
-    notes = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if line.startswith("#"):
-            notes.append(line[1:].strip())
-            continue
-        if not line.strip():
+        if line.startswith("#") or not line.strip():
             continue
         row = next(csv.reader(io.StringIO(line)))
         if row[:3] == ["id", "source", "path"]:
@@ -154,7 +144,7 @@ def read_pool_csv(path: str | Path) -> RirPool:
         if not row[0] or not row[2]:
             raise ValueError(f"{path}: line {lineno}: empty id or path in {line!r}")
         entries.append(PoolEntry(*row))
-    return RirPool(tuple(entries), notes="; ".join(notes))
+    return RirPool(entries)
 
 
 def write_pool_csv(pool: RirPool, path: str | Path,

@@ -25,8 +25,8 @@ instead of a copy per call (52 MB for the d=64 generator's tconv1). Only the
 storage moved: every GEMM sees the same values in the same C-contiguous
 order, so results are bit-identical; and checkpoints still hold each weight
 in (kernel, c_in, c_out) C order, so files from before load unchanged.
-Weights are updated in place (optimizer, clipping, ``set_param``), which
-keeps that layout for the life of the layer.
+Weights are updated in place (optimizer, clipping, ``set_param``, checkpoint
+loads), which keeps that layout for the life of the layer.
 
 Gradients are assigned (not accumulated) on each backward call; every layer
 keeps the forward activations it needs, so backward without a prior forward

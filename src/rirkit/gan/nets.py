@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..audio import RIR_LENGTH
 from .layers import (
     Conv1d,
     ConvTranspose1d,
@@ -27,7 +28,7 @@ from .layers import (
 )
 
 LATENT_DIM = 100
-OUTPUT_LENGTH = 16384
+OUTPUT_LENGTH = RIR_LENGTH  # the generator writes whole canonical RIRs
 KERNEL = 25
 STRIDE = 4
 LEAKY_SLOPE = 0.2
@@ -138,7 +139,7 @@ class Generator(_Net):
     """(n, 100) latent batch -> (n, 16384) waveforms in (-1, 1).
 
     Weights are Glorot-uniform draws from rng; with rng=None they are zero,
-    to be filled (``set_param``, as a checkpoint load does)."""
+    to be filled in place (as a checkpoint load does)."""
 
     n_in = LATENT_DIM
     out_shape = (OUTPUT_LENGTH,)
@@ -163,7 +164,7 @@ class Critic(_Net):
     """(n, 16384) waveforms -> (n,) scores.
 
     Weights are Glorot-uniform draws from rng; with rng=None they are zero,
-    to be filled (``set_param``, as a checkpoint load does)."""
+    to be filled in place (as a checkpoint load does)."""
 
     n_in = OUTPUT_LENGTH
     out_shape = ()

@@ -1,4 +1,6 @@
 import json
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,6 +248,24 @@ class TestAugmentCorpus:
         assert not (tmp_path / "deep" / "escaped.wav").exists()
         assert len(read_manifest(out / "manifest.jsonl")) == 1
 
+    def test_pool_id_naming_two_files_refused_before_any_work(self, tmp_path):
+        # the RIR and noise caches are keyed by id: were one id to name two
+        # files, whichever loaded first would serve both, and the output would
+        # depend on the order of the clean manifest
+        clean, rirs, noises = make_corpus(tmp_path)
+        for kind, pool in (("rir", rirs), ("noise", noises)):
+            a, b = (e.path for e in pool.entries)
+            clash = RirPool((PoolEntry("x", "S", a), PoolEntry("x", "S", b)))
+            pools = (clash, noises) if kind == "rir" else (rirs, clash)
+            with pytest.raises(ValueError, match=f"^{kind} pool id 'x' names two files") as exc:
+                augment_corpus(clean, *pools, AugmentSpec(), tmp_path / "out")
+            assert a in str(exc.value) and b in str(exc.value)
+        assert not (tmp_path / "out").exists()
+        twice = RirPool((rirs.entries[0], rirs.entries[0]))  # one file: allowed
+        records, failures = augment_corpus(clean, twice, noises, AugmentSpec(),
+                                           tmp_path / "ok")
+        assert failures == [] and len(records) == len(clean)
+
     def test_snr_db_interpretation(self, tmp_path):
         clean, rirs, noises = make_corpus(tmp_path, n_utts=1)
         spec = AugmentSpec(snr_range=(20.0, 20.0), rng_seed=3, snr_in_db=True)
@@ -335,3 +355,61 @@ def test_mix_record_from_json_rejects_mistyped_fields(field, value):
     doc[field] = value
     with pytest.raises(TypeError, match=rf"^{field} must be"):
         MixRecord.from_json(json.dumps(doc))
+
+
+_RECORD = MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0, "/o.wav")
+
+
+@pytest.mark.parametrize("bad, error", [
+    ("{not json", ValueError),
+    ("[1, 2]", TypeError),
+    ('"u1"', TypeError),
+    (json.dumps({"utt_id": "u1"}), TypeError),
+    (_RECORD.to_json()[:-1] + ', "extra": 1}', TypeError),
+    (_RECORD.to_json().replace('"k": 17', '"k": "17"'), TypeError),
+], ids=["not json", "list", "string", "missing keys", "unknown key", "mistyped key"])
+def test_read_manifest_names_file_and_line(tmp_path, bad, error):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(f"{_RECORD.to_json()}\n\n{bad}\n")
+    with pytest.raises(error) as exc:
+        read_manifest(path)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(f"{path}: line 3: ")
+
+
+@pytest.fixture(scope="module")
+def manifest_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("manifest") / "manifest.jsonl"
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_fuzz_read_manifest(manifest_path, data):
+    """A valid manifest with a dropped, added or retyped key and up to two
+    characters replaced, inserted or deleted either parses or raises
+    TypeError or ValueError naming the file and one of its lines."""
+    docs = [json.loads(replace(_RECORD, utt_id=f"u{i}", k=i).to_json()) for i in range(3)]
+    doc = data.draw(st.sampled_from(docs))
+    key = data.draw(st.sampled_from(sorted(doc)))
+    edit = data.draw(st.sampled_from(["none", "drop", "add", "retype"]))
+    if edit == "drop":
+        del doc[key]
+    elif edit == "add":
+        doc[key + "_"] = 1
+    elif edit == "retype":
+        doc[key] = data.draw(st.none() | st.booleans() | st.integers() | st.floats()
+                             | st.text(max_size=3) | st.lists(st.integers(), max_size=2))
+    text = "\n".join(json.dumps(d) for d in docs)
+    for _ in range(data.draw(st.integers(0, 2))):
+        pos = data.draw(st.integers(0, len(text)))
+        char = data.draw(st.sampled_from(list('{}[]",:\n\r 0e\\') + [""])
+                         | st.characters(codec="utf-8"))
+        text = text[:pos] + char + text[pos + data.draw(st.integers(0, 1)):]
+    manifest_path.write_text(text)
+    try:
+        records = read_manifest(manifest_path)
+    except (TypeError, ValueError) as exc:
+        where = re.match(rf"{re.escape(str(manifest_path))}: line (\d+): ", str(exc))
+        assert where and 1 <= int(where[1]) <= len(text.splitlines())
+    else:
+        assert all(isinstance(r, MixRecord) for r in records)

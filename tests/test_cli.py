@@ -231,6 +231,10 @@ BAD_INPUTS = {
     "pool row with empty id and path": lambda ws, tmp: [
         "augment", "--clean", str(ws / "clean.csv"), "--rirs", _pool(tmp, ",,"),
         "--noise", str(ws / "noise.csv")],
+    "pool id naming two files": lambda ws, tmp: [
+        "augment", "--clean", str(ws / "clean.csv"),
+        "--rirs", _pool(tmp, f"r,S,{ws / 'rir_0.wav'}\nr,S,{ws / 'rir_1.wav'}\n"),
+        "--noise", str(ws / "noise.csv")],
     "sizes not three": lambda ws, tmp: [
         "split", "--pool", str(ws / "rirs.csv"), "--sizes", "4,2"],
     "sizes not counts": lambda ws, tmp: [
