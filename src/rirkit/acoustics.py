@@ -183,7 +183,7 @@ def analyze(rir: RirLike) -> AcousticParams:
 
 def write_params_csv(path: str | Path, rows: Iterable[tuple[str, AcousticParams]]) -> None:
     """Emit `id,t60_s,drr_db,edt_s,cte_db` rows with 6 decimal places."""
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["id", "t60_s", "drr_db", "edt_s", "cte_db"])
         for rid, p in rows:

@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import check_fields
+from ._fields import check_fields, parse_json, read_text
 from .audio import AudioBuffer, RIR_RATE, Rir, convolve, load_wav, resample, save_wav
 from .corpus import RirPool
 
@@ -82,10 +82,6 @@ class MixRecord:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
-
-    @classmethod
-    def from_json(cls, line: str) -> "MixRecord":
-        return cls(**json.loads(line))
 
 
 def looped_noise(noise: AudioBuffer, k: int, length: int) -> AudioBuffer | None:
@@ -151,7 +147,7 @@ def mix(clean: AudioBuffer, rir: Rir | AudioBuffer, noise: AudioBuffer,
 def read_clean_manifest(path: str | Path) -> list[tuple[str, str]]:
     """CSV `utt_id,path` (header optional, # comments skipped)."""
     rows = []
-    for line in Path(path).read_text().splitlines():
+    for line in read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -165,25 +161,24 @@ def read_clean_manifest(path: str | Path) -> list[tuple[str, str]]:
 
 
 def write_manifest(records: Sequence[MixRecord], path: str | Path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for rec in records:
             f.write(rec.to_json() + "\n")
 
 
 def read_manifest(path: str | Path) -> list[MixRecord]:
-    """Read manifest.jsonl. A line that is not JSON raises ValueError; one that
-    is not an object, or has a missing, unknown or mistyped key, raises
-    TypeError. Either message names the file and the line."""
+    """Read manifest.jsonl. A line that is not UTF-8 or not JSON raises
+    ValueError; one that is not an object, or has a missing, unknown or
+    mistyped key, raises TypeError. Either names the file and the line."""
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
+        doc = parse_json(line, f"{path}: line {lineno}")
         try:
-            records.append(MixRecord.from_json(line))
+            records.append(MixRecord(**doc))
         except TypeError as exc:
             raise TypeError(f"{path}: line {lineno}: {exc}") from exc
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return records
 
 
@@ -273,11 +268,8 @@ def augment_corpus(
             log.warning("augment failed for %s: %s", item[0], exc)
             return None, (item[0], str(exc))
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, clean_manifest))
-    else:
-        results = [run(item) for item in clean_manifest]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run, clean_manifest))
 
     for rec, err in results:
         if rec is not None:

@@ -4,22 +4,22 @@ Subcommands: analyze, train, generate, augment, split, compose, validate.
 Global flags --seed / --out-dir / --threads sit before the subcommand;
 --seed overrides any rng_seed found in a JSON config file. Exit codes: 0 on
 success, 1 when some items (RIRs, utterances, pool entries) failed, 2 on bad
-input (a missing or malformed file, config or argument), reported as one
-`error: ...` line on stderr.
+input (a missing or malformed file, config or argument) or when training
+diverges or generation stalls, reported as one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import acoustics, augment, corpus, sampler
+from ._fields import parse_json, read_text
 from .audio import load_wav, save_wav, to_rir
-from .gan import TrainConfig, load_checkpoint, train
+from .gan import TrainConfig, TrainingDivergedError, load_checkpoint, train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path: Path | None) -> dict:
-    cfg = json.loads(path.read_text()) if path is not None else {}
+    cfg = parse_json(read_text(path), path) if path is not None else {}
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return cfg
@@ -232,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError) as exc:  # a missing or malformed input
+    except (OSError, ValueError, TrainingDivergedError) as exc:  # bad input, or diverged
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import check_fields
+from ._fields import check_fields, read_text
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,8 @@ def validate_pool(pool: RirPool, load: bool = True, threads: int = 1) -> Validat
                 return (e.id, f"not loadable as RIR: {exc}")
         return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as tp:
-            results = list(tp.map(check, pool.entries))
-    else:
-        results = [check(e) for e in pool.entries]
+    with ThreadPoolExecutor(max_workers=threads) as tp:
+        results = list(tp.map(check, pool.entries))
     report.findings.extend(r for r in results if r is not None)
     return report
 
@@ -132,7 +129,7 @@ def read_pool_csv(path: str | Path) -> RirPool:
     """Read a pool CSV. A row with an empty id or an empty path is refused
     with a ValueError naming the file and the line."""
     entries = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if line.startswith("#") or not line.strip():
             continue
         row = next(csv.reader(io.StringIO(line)))
@@ -149,7 +146,7 @@ def read_pool_csv(path: str | Path) -> RirPool:
 
 def write_pool_csv(pool: RirPool, path: str | Path,
                    provenance: dict[str, object] | None = None) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         for key, value in (provenance or {}).items():
             f.write(f"# {key}={value}\n")
         writer = csv.writer(f)

@@ -6,9 +6,9 @@ parameter manifest with shapes), then raw little-endian float32 weight blobs
 in manifest order (generator first, then critic). Loading builds a float32
 model with zero weights (no random initialisation), reads one blob at a time
 into its tensor in place, and refuses a header whose manifest differs from
-the one that d builds, or whose latent distribution or shuffle radius that
-model cannot use, so a checkpoint either restores every tensor or does not
-load.
+the one that d builds, whose d is too large to build, or whose latent
+distribution or shuffle radius that model cannot use, so a checkpoint either
+restores every tensor or does not load.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import struct
 from pathlib import Path
 
 import numpy as np
+
+from .._fields import parse_json
 
 MAGIC = b"IRGAN01"
 
@@ -64,8 +66,8 @@ def load_checkpoint(path: str | Path):
             raise CheckpointError(f"{path}: not a {MAGIC.decode()} checkpoint")
         (hlen,) = struct.unpack_from("<I", head, len(MAGIC))
         try:  # capped: a corrupt length would otherwise allocate up to 4 GiB
-            header = json.loads(f.read(min(hlen, size)).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            header = parse_json(f.read(min(hlen, size)).decode("utf-8"), path)
+        except ValueError as exc:
             raise CheckpointError(f"{path}: corrupt header") from exc
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: corrupt header")
@@ -79,9 +81,11 @@ def load_checkpoint(path: str | Path):
         if type(radius) is not int or radius < 0:
             raise CheckpointError(f"{path}: shuffle radius must be an integer >= 0")
 
-        # zero weights, filled in place below
-        model = GanModel(Generator(d), Critic(d, shuffle_radius=radius), d=d, step=step,
-                         seed=seed, latent_dist=latent_dist)
+        try:  # zero weights, filled in place below
+            model = GanModel(Generator(d), Critic(d, shuffle_radius=radius), d=d,
+                             step=step, seed=seed, latent_dist=latent_dist)
+        except MemoryError:
+            raise CheckpointError(f"{path}: no memory for a d={d} model") from None
         tensors = _tensors(model)
         if header.get("params") != [entry for entry, _ in tensors]:
             raise CheckpointError(f"{path}: parameter manifest differs from a d={d} model's")

@@ -123,17 +123,6 @@ class _Net:
     def grad_arrays(self) -> list[np.ndarray]:
         return [layer.grads[p] for layer in self._layers.values() for p in layer.params]
 
-    def set_param(self, layer_name: str, param_name: str, value: np.ndarray) -> None:
-        """Copy value into the live parameter array (cast to its dtype), so
-        its layout and every reference to it, such as an optimizer's, hold."""
-        layer = self._layers[layer_name]
-        current = layer.params[param_name]
-        if current.shape != value.shape:
-            raise ValueError(
-                f"{layer_name}.{param_name}: shape {value.shape} != {current.shape}"
-            )
-        current[...] = value
-
 
 class Generator(_Net):
     """(n, 100) latent batch -> (n, 16384) waveforms in (-1, 1).

@@ -150,7 +150,7 @@ def _as_matrix(dataset: Sequence[Rir] | np.ndarray) -> np.ndarray:
 
 
 def write_log_csv(log: Sequence[LogRow], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
+    with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["step", "critic_loss", "generator_loss", "wasserstein_estimate"])
         for row in log:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fields import check_fields
+from ._fields import check_fields, parse_json, read_text
 from .acoustics import AcousticParams, EstimationError, analyze
 from .audio import Rir
 
@@ -206,7 +206,7 @@ class GenerationReport:
             self.rejections_by_param[r] = self.rejections_by_param.get(r, 0) + 1
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as f:
+        with open(path, "w", newline="", encoding="utf-8") as f:
             f.write("parameter,rejections\n")
             for name, count in self.rejections_by_param.items():
                 f.write(f"{name},{count}\n")
@@ -273,7 +273,7 @@ def save_histograms(hists: ParamHistograms, path: str | Path) -> None:
             for name in PARAM_NAMES
         },
     }
-    Path(path).write_text(json.dumps(doc, indent=2))
+    Path(path).write_text(json.dumps(doc, indent=2), encoding="utf-8")
 
 
 def _field(doc, *keys):
@@ -305,8 +305,8 @@ def _histogram(doc, name: str) -> Histogram:
 def load_histograms(path: str | Path) -> ParamHistograms:
     """Read save_histograms' JSON; a missing or malformed field is a
     ValueError naming the path and the field."""
+    doc = parse_json(read_text(path), path)
     try:
-        doc = json.loads(Path(path).read_text())
         return ParamHistograms(**{name: _histogram(doc, name) for name in PARAM_NAMES},
                                total_count=_field(doc, "total_count"))
     except (TypeError, ValueError) as exc:

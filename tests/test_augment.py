@@ -17,6 +17,7 @@ from rirkit.augment import (
     mix,
     read_clean_manifest,
     read_manifest,
+    write_manifest,
 )
 from rirkit.corpus import PoolEntry, RirPool
 
@@ -289,10 +290,10 @@ class TestManifests:
         rows = read_clean_manifest(p)
         assert rows == [("u1", "/x/a.wav"), ("u2", "/x/b.wav")]
 
-    def test_mix_record_json_round_trip(self):
+    def test_mix_record_json_round_trip(self, tmp_path):
         rec = MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0, "/o.wav")
-        back = MixRecord.from_json(rec.to_json())
-        assert back == rec
+        write_manifest([rec], tmp_path / "manifest.jsonl")
+        assert read_manifest(tmp_path / "manifest.jsonl") == [rec]
         keys = set(json.loads(rec.to_json()).keys())
         assert keys == {"utt_id", "clean_path", "rir_id", "noise_id", "snr",
                         "k", "alpha", "rescale", "out_path"}
@@ -349,12 +350,14 @@ def test_spec_stores_snr_range_as_tuple_and_accepts_numpy_scalars():
 
 
 @pytest.mark.parametrize("field, value", [("snr", "x"), ("k", 2.5), ("utt_id", 1)])
-def test_mix_record_from_json_rejects_mistyped_fields(field, value):
+def test_mix_record_from_json_rejects_mistyped_fields(tmp_path, field, value):
     doc = json.loads(MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0,
                                "/o.wav").to_json())
     doc[field] = value
-    with pytest.raises(TypeError, match=rf"^{field} must be"):
-        MixRecord.from_json(json.dumps(doc))
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(json.dumps(doc) + "\n")
+    with pytest.raises(TypeError, match=rf"^{re.escape(str(path))}: line 1: {field} must be"):
+        read_manifest(path)
 
 
 _RECORD = MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0, "/o.wav")
@@ -367,10 +370,14 @@ _RECORD = MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0, "/o.wav")
     (json.dumps({"utt_id": "u1"}), TypeError),
     (_RECORD.to_json()[:-1] + ', "extra": 1}', TypeError),
     (_RECORD.to_json().replace('"k": 17', '"k": "17"'), TypeError),
-], ids=["not json", "list", "string", "missing keys", "unknown key", "mistyped key"])
+    ("[" * 100000, ValueError),
+    (b'{"utt_id": "u\xff"}', ValueError),
+], ids=["not json", "list", "string", "missing keys", "unknown key", "mistyped key",
+        "nested too deeply", "not utf-8"])
 def test_read_manifest_names_file_and_line(tmp_path, bad, error):
     path = tmp_path / "manifest.jsonl"
-    path.write_text(f"{_RECORD.to_json()}\n\n{bad}\n")
+    bad = bad if isinstance(bad, bytes) else bad.encode()
+    path.write_bytes(f"{_RECORD.to_json()}\n\n".encode() + bad + b"\n")
     with pytest.raises(error) as exc:
         read_manifest(path)
     assert type(exc.value) is error
@@ -387,7 +394,9 @@ def manifest_path(tmp_path_factory):
 def test_fuzz_read_manifest(manifest_path, data):
     """A valid manifest with a dropped, added or retyped key and up to two
     characters replaced, inserted or deleted either parses or raises
-    TypeError or ValueError naming the file and one of its lines."""
+    TypeError or ValueError naming the file and one of its lines. A line
+    nested too deeply, or a byte that is not UTF-8, is always refused: the
+    byte with a ValueError naming its own line."""
     docs = [json.loads(replace(_RECORD, utt_id=f"u{i}", k=i).to_json()) for i in range(3)]
     doc = data.draw(st.sampled_from(docs))
     key = data.draw(st.sampled_from(sorted(doc)))
@@ -405,11 +414,29 @@ def test_fuzz_read_manifest(manifest_path, data):
         char = data.draw(st.sampled_from(list('{}[]",:\n\r 0e\\') + [""])
                          | st.characters(codec="utf-8"))
         text = text[:pos] + char + text[pos + data.draw(st.integers(0, 1)):]
-    manifest_path.write_text(text)
+    corrupt = data.draw(st.sampled_from(["none", "nested", "not utf-8"]))
+    if corrupt == "nested":
+        lines = text.splitlines()
+        bad_line = data.draw(st.integers(1, len(lines) + 1))
+        lines.insert(bad_line - 1, "[" * 100000 + "]" * 100000)
+        text = "\n".join(lines)
+    raw = text.encode()
+    if corrupt == "not utf-8":  # bytes that no UTF-8 sequence holds
+        pos = data.draw(st.integers(0, len(raw)))
+        bad = data.draw(st.sampled_from([b"\xff", b"\xc0", b"\xf5\x80"]))
+        raw = raw[:pos] + bad + raw[pos:]
+        bad_line = raw.count(b"\n", 0, pos) + 1
+    manifest_path.write_bytes(raw)
     try:
         records = read_manifest(manifest_path)
     except (TypeError, ValueError) as exc:
         where = re.match(rf"{re.escape(str(manifest_path))}: line (\d+): ", str(exc))
-        assert where and 1 <= int(where[1]) <= len(text.splitlines())
+        assert where
+        if corrupt == "not utf-8":
+            assert type(exc) is ValueError and int(where[1]) == bad_line
+        else:
+            assert 1 <= int(where[1]) <= len(text.splitlines())
+            assert corrupt == "none" or int(where[1]) <= bad_line
     else:
+        assert corrupt == "none"
         assert all(isinstance(r, MixRecord) for r in records)

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import struct
 import tempfile
 import typing
 from contextlib import redirect_stderr, redirect_stdout
@@ -17,6 +18,7 @@ from rirkit.augment import AugmentSpec
 from rirkit.cli import main
 from rirkit.corpus import PoolEntry, RirPool, write_pool_csv
 from rirkit.gan import Critic, GanModel, Generator, TrainConfig, save_checkpoint
+from rirkit.gan.checkpoint import MAGIC
 from rirkit.sampler import SamplerConfig
 
 from conftest import noise_rir
@@ -157,16 +159,29 @@ def test_analyze_reports_failed_rirs_and_carries_on(workspace, tmp_path, capsys)
     assert len(rows) == 2 and rows[1].startswith("rir_0,")
 
 
-def _config(tmp, doc):
-    path = tmp / "config.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+def _file(tmp, name, data):
+    path = tmp / name
+    if isinstance(data, bytes):
+        path.write_bytes(data)
+    else:
+        path.write_text(data)
     return str(path)
+
+
+def _config(tmp, doc):
+    return _file(tmp, "config.json", doc if isinstance(doc, (str, bytes)) else json.dumps(doc))
 
 
 def _pool(tmp, text):
-    path = tmp / "pool.csv"
-    path.write_text(text)
-    return str(path)
+    return _file(tmp, "pool.csv", text)
+
+
+def _header(tmp, header: bytes):
+    """A checkpoint that holds only its magic, header length and header."""
+    return _file(tmp, "model.gan", MAGIC + struct.pack("<I", len(header)) + header)
+
+
+_DEEP = "[" * 100000  # nested far past what the JSON parser can recurse into
 
 
 def _model(tmp):
@@ -242,6 +257,38 @@ BAD_INPUTS = {
     "compose count not a number": lambda ws, tmp: [
         "compose", "--pool", f"{ws / 'rirs.csv'}:x"],
     "compose without count": lambda ws, tmp: ["compose", "--pool", "5"],
+    "train config nested too deeply": lambda ws, tmp: [
+        "train", "--config", _config(tmp, _DEEP)],
+    "augment spec nested too deeply": lambda ws, tmp: [
+        "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
+        "--noise", str(ws / "noise.csv"), "--spec", _config(tmp, _DEEP)],
+    "train config not UTF-8": lambda ws, tmp: [
+        "train", "--config", _config(tmp, b'{"pool": "\xff.csv", "steps": 1}')],
+    "pool not UTF-8": lambda ws, tmp: ["validate", "--pool", _pool(tmp, b"r,S,\xff.wav\n")],
+    "clean manifest not UTF-8": lambda ws, tmp: [
+        "augment", "--clean", _file(tmp, "clean.csv", b"utt_id,path\nu0,\xc0.wav\n"),
+        "--rirs", str(ws / "rirs.csv"), "--noise", str(ws / "noise.csv")],
+    "histogram nested too deeply": lambda ws, tmp: [
+        "generate", "--model", _model(tmp), "--hist", _config(tmp, _DEEP), "-n", "1"],
+    "checkpoint header nested too deeply": lambda ws, tmp: [
+        "generate", "--model", _header(tmp, _DEEP.encode()), "--hist", _hist(ws, tmp),
+        "-n", "1"],
+    "checkpoint d too large to build": lambda ws, tmp: [
+        "generate", "--model",
+        _header(tmp, json.dumps({"d": 100000, "step": 0, "seed": 0, "params": []}).encode()),
+        "--hist", _hist(ws, tmp), "-n", "1"],
+}
+
+# cases whose error line must name the file that could not be read
+NAMED_FILE = {
+    "train config nested too deeply": "config.json",
+    "augment spec nested too deeply": "config.json",
+    "train config not UTF-8": "config.json",
+    "pool not UTF-8": "pool.csv",
+    "clean manifest not UTF-8": "clean.csv",
+    "histogram nested too deeply": "config.json",
+    "checkpoint header nested too deeply": "model.gan",
+    "checkpoint d too large to build": "model.gan",
 }
 
 
@@ -253,6 +300,34 @@ def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    if case in NAMED_FILE:
+        assert str(tmp_path / NAMED_FILE[case]) in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_diverged_training_exits_2(workspace, tmp_path, capsys):
+    cfg = _config(tmp_path, {"pool": str(workspace / "rirs.csv"), "steps": 5,
+                             "learning_rate": 1e38, "d": 1, "batch_size": 2,
+                             "n_critic": 1})
+    assert main(["--out-dir", str(tmp_path / "out"), "train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+def _corrupt(text: str, data) -> tuple[bytes, bool]:
+    """Draw nothing, a key whose value is nested too deeply, or a byte that is
+    not UTF-8, into the JSON object ``text``; (file bytes, corrupted?)."""
+    corrupt = data.draw(st.sampled_from(["none", "nested", "not utf-8"]))
+    if corrupt == "nested":
+        text = '{"deep": ' + _DEEP + "]" * len(_DEEP) + ", " + text[1:]
+    raw = text.encode()
+    if corrupt == "not utf-8":
+        pos = data.draw(st.integers(0, len(raw)))
+        bad = data.draw(st.sampled_from([b"\xff", b"\xc0", b"\xf5\x80"]))  # never UTF-8
+        raw = raw[:pos] + bad + raw[pos:]
+    return raw, corrupt != "none"
 
 
 def _wrong_json(hint):
@@ -299,15 +374,17 @@ def test_fuzz_mistyped_config_field_exits_2(config_commands, data):
     hints = typing.get_type_hints(cls)
     field = data.draw(st.sampled_from([f.name for f in fields(cls)]))
     value = data.draw(_wrong_json(hints[field]))
+    raw, _ = _corrupt(json.dumps({**valid, field: value}), data)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         out = tmp / "out"
+        cfg = _config(tmp, raw)
         with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
-            rc = main(["--out-dir", str(out), *argv(_config(tmp, {**valid, field: value}))])
+            rc = main(["--out-dir", str(out), *argv(cfg)])
         assert rc == 2
         assert not out.exists()
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cfg}: ")
     assert "Traceback" not in err.getvalue()
 
 
@@ -414,17 +491,19 @@ def generate_inputs(workspace, tmp_path_factory):
 @given(data=st.data())
 def test_fuzz_histogram_json_through_generate(generate_inputs, data):
     """A histogram document with dropped keys, wrong JSON types, NaN/Infinity
-    literals, nested lists, negative or huge counts or unmatched sums is bad
-    input: exit 2, one error line, no traceback, nothing written."""
+    literals, nested lists, negative or huge counts, unmatched sums, JSON
+    nested too deeply or bytes that are not UTF-8 is bad input: exit 2, one
+    error line naming the file, no traceback, nothing written."""
     model, valid_hist = generate_inputs
     doc = json.loads(Path(valid_hist).read_text())
     for _ in range(data.draw(st.integers(1, 2))):
         _histogram_mutation(doc, data)
-    valid = _valid_histogram_doc(doc)
+    raw, corrupted = _corrupt(json.dumps(doc), data)  # NaN and Infinity as literals
+    valid = _valid_histogram_doc(doc) and not corrupted
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         hist = tmp / "hists.json"
-        hist.write_text(json.dumps(doc))  # NaN and Infinity as JSON literals
+        hist.write_bytes(raw)
         out = tmp / "out"
         with redirect_stderr(io.StringIO()) as err, redirect_stdout(io.StringIO()):
             rc = main(["--out-dir", str(out), "generate", "--model", model,
@@ -437,4 +516,4 @@ def test_fuzz_histogram_json_through_generate(generate_inputs, data):
         return
     assert rc == 2 and not written
     lines = err.getvalue().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert len(lines) == 1 and lines[0].startswith(f"error: {hist}: ")

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import typing
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +70,50 @@ def test_unsupported_annotation_is_refused():
 
     with pytest.raises(TypeError, match="no field check for annotation"):
         Loose(["a"])
+
+
+# Every text reader and writer in rirkit, run once on non-ASCII text.
+_EVERY_TEXT_FILE = """
+import sys
+from pathlib import Path
+
+from rirkit import acoustics, augment, cli, corpus, sampler
+from rirkit.gan import (Critic, GanModel, Generator, LogRow, load_checkpoint,
+                        save_checkpoint, write_log_csv)
+
+out = Path(sys.argv[1])
+params = [acoustics.AcousticParams(0.3 + 0.1 * i, 5.0 + i, 0.2 + 0.1 * i, 9.0 + i)
+          for i in range(4)]
+acoustics.write_params_csv(out / "params.csv", [(f"r{i}", p) for i, p in enumerate(params)])
+write_log_csv([LogRow(1, 0.5, -0.5, 0.25)], out / "log.csv")
+sampler.GenerationReport().to_csv(out / "report.csv")
+hists = sampler.build_histograms(params, sampler.SamplerConfig(bins_per_param=4))
+sampler.save_histograms(hists, out / "hists.json")
+sampler.load_histograms(out / "hists.json")
+pool = corpus.RirPool([corpus.PoolEntry("r\\u00fc", "S\\u00fc", "/\\u00fc.wav")])
+corpus.write_pool_csv(pool, out / "pool.csv", provenance={"seed": "\\u00fc"})
+assert corpus.read_pool_csv(out / "pool.csv") == pool
+(out / "clean.csv").write_text("u\\u00fc,/\\u00fc.wav\\n", encoding="utf-8")
+assert augment.read_clean_manifest(out / "clean.csv") == [("u\\u00fc", "/\\u00fc.wav")]
+rec = augment.MixRecord("u\\u00fc", "/\\u00fc.wav", "r", "n", 2.0, 1, 0.5, 1.0, "/o.wav")
+augment.write_manifest([rec], out / "manifest.jsonl")
+assert augment.read_manifest(out / "manifest.jsonl") == [rec]
+(out / "config.json").write_text('{"k": "\\u00fc"}', encoding="utf-8")
+assert cli._load_json(out / "config.json") == {"k": "\\u00fc"}
+save_checkpoint(GanModel(Generator(1), Critic(1), d=1, step=0, seed=0), out / "m.gan")
+load_checkpoint(out / "m.gan")
+"""
+
+
+def test_text_files_name_their_encoding(tmp_path):
+    """No reader or writer falls back to the locale's encoding: with
+    EncodingWarning made an error, every one of them still runs."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", _EVERY_TEXT_FILE, str(tmp_path)],
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "rü,Sü,/ü.wav".encode() in (tmp_path / "pool.csv").read_bytes()

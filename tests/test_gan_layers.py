@@ -157,8 +157,8 @@ class TestWeightLayout:
                 return (len(weights) == 5 and all(_in_gemm_layout(w) for w in weights)
                         and all(a is b for a, b in zip(net.param_arrays(), arrays)))
 
-            for layer, pname, arr in net.named_params():
-                net.set_param(layer, pname, np.full(arr.shape, 0.005))
+            for _, _, arr in net.named_params():
+                arr[...] = 0.005
             assert all(np.all(a == np.float32(0.005)) for a in arrays)  # RMSProp's arrays
             assert unchanged()
             net.forward(rng.uniform(-1, 1, (2, net.n_in)))

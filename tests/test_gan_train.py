@@ -75,8 +75,9 @@ class TestForward:
 
     def test_critic_zero_head_scores_zero(self):
         crit = Critic(d=1, rng=np.random.default_rng(8))
-        crit.set_param("dense", "W", np.zeros((256, 1), dtype=np.float32))
-        crit.set_param("dense", "b", np.zeros(1, dtype=np.float32))
+        for layer, _, arr in crit.named_params():
+            if layer == "dense":
+                arr[...] = 0
         x = np.random.default_rng(9).uniform(-1, 1, (3, 16384)).astype(np.float32)
         np.testing.assert_array_equal(crit.forward(x), np.zeros(3, dtype=np.float32))
 
@@ -115,8 +116,9 @@ class TestLosses:
 class TestClip:
     def test_clamps(self):
         crit = Critic(d=1, rng=np.random.default_rng(1))
-        crit.set_param("conv1", "W",
-                       np.linspace(-0.5, 0.5, 25).reshape(25, 1, 1).astype(np.float32))
+        w = next(arr for layer, pname, arr in crit.named_params()
+                 if (layer, pname) == ("conv1", "W"))
+        w[...] = np.linspace(-0.5, 0.5, 25).reshape(25, 1, 1)
         clip_weights(crit, 0.01)
         for arr in crit.param_arrays():
             assert np.max(np.abs(arr)) <= 0.01
