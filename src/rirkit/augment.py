@@ -22,7 +22,6 @@ import logging
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -31,7 +30,7 @@ import numpy as np
 
 from ._fields import check_fields, parse_json, read_text
 from .audio import AudioBuffer, RIR_RATE, Rir, convolve, load_wav, resample, save_wav
-from .corpus import RirPool
+from .corpus import RirPool, _map
 
 log = logging.getLogger(__name__)
 
@@ -268,10 +267,7 @@ def augment_corpus(
             log.warning("augment failed for %s: %s", item[0], exc)
             return None, (item[0], str(exc))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(run, clean_manifest))
-
-    for rec, err in results:
+    for rec, err in _map(run, clean_manifest, threads):
         if rec is not None:
             records.append(rec)
         else:

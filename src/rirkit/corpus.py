@@ -96,6 +96,16 @@ class ValidationReport:
         return not self.findings
 
 
+def _map(fn, items, threads: int) -> list:
+    """[fn(x) for x in items], in order: on the caller's thread at threads=1
+    (a pool thread would get its own malloc arena), else on a pool of that
+    many threads, which refuses threads < 1."""
+    if threads == 1:
+        return list(map(fn, items))
+    with ThreadPoolExecutor(max_workers=threads) as tp:
+        return list(tp.map(fn, items))
+
+
 def validate_pool(pool: RirPool, load: bool = True, threads: int = 1) -> ValidationReport:
     """Check id uniqueness, file existence, and (optionally) loadability as a
     canonical RIR. Non-fatal: everything lands in the findings list."""
@@ -119,9 +129,7 @@ def validate_pool(pool: RirPool, load: bool = True, threads: int = 1) -> Validat
                 return (e.id, f"not loadable as RIR: {exc}")
         return None
 
-    with ThreadPoolExecutor(max_workers=threads) as tp:
-        results = list(tp.map(check, pool.entries))
-    report.findings.extend(r for r in results if r is not None)
+    report.findings.extend(r for r in _map(check, pool.entries, threads) if r is not None)
     return report
 
 

@@ -4,11 +4,14 @@ Layout: magic bytes "IRGAN01", a little-endian uint32 header length, a JSON
 header (d, step, seed, latent distribution, shuffle radius, and the ordered
 parameter manifest with shapes), then raw little-endian float32 weight blobs
 in manifest order (generator first, then critic). Loading builds a float32
-model with zero weights (no random initialisation), reads one blob at a time
-into its tensor in place, and refuses a header whose manifest differs from
-the one that d builds, whose d is too large to build, or whose latent
-distribution or shuffle radius that model cannot use, so a checkpoint either
-restores every tensor or does not load.
+model with zero weights (no random initialisation) and reads each blob into
+its tensor in place, in blocks of leading-axis rows through one reused buffer
+of at most a mebibyte (or one row, if a row is larger), so a load peaks at
+the model plus one bounded read buffer; saving writes the same blocks. A
+load refuses a header whose manifest differs from the one that d builds,
+whose d is too large to build, or whose latent distribution or shuffle
+radius that model cannot use, so a checkpoint either restores every tensor
+or does not load.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from .._fields import parse_json
 
 MAGIC = b"IRGAN01"
+_BLOCK_BYTES = 1 << 20  # one read or write block, unless a single row is larger
 
 
 class CheckpointError(ValueError):
@@ -35,6 +39,13 @@ def _tensors(model) -> list[tuple[dict, np.ndarray]]:
               "shape": list(arr.shape)}, arr)
             for role, net in (("generator", model.generator), ("critic", model.critic))
             for layer_name, param_name, arr in net.named_params()]
+
+
+def _blocks(arr: np.ndarray) -> list[slice]:
+    """Leading-axis row ranges of arr, in file order, each of at most
+    _BLOCK_BYTES but at least one row."""
+    rows = max(1, _BLOCK_BYTES // max(1, arr[:1].nbytes))
+    return [slice(i, i + rows) for i in range(0, len(arr), rows)]
 
 
 def save_checkpoint(model, path: str | Path) -> None:
@@ -53,7 +64,8 @@ def save_checkpoint(model, path: str | Path) -> None:
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
         for _, arr in tensors:
-            f.write(np.ascontiguousarray(arr, dtype="<f4"))
+            for rows in _blocks(arr):
+                f.write(np.ascontiguousarray(arr[rows], dtype="<f4"))
 
 
 def load_checkpoint(path: str | Path):
@@ -89,11 +101,17 @@ def load_checkpoint(path: str | Path):
         tensors = _tensors(model)
         if header.get("params") != [entry for entry, _ in tensors]:
             raise CheckpointError(f"{path}: parameter manifest differs from a d={d} model's")
+        # conv weights are transposed views of their storage, so blocks land
+        # in this buffer first and are then copied into place
+        buf = np.empty(max((arr[rows].size for _, arr in tensors for rows in _blocks(arr)),
+                           default=0), "<f4")
         for entry, arr in tensors:
-            blob = np.empty(arr.shape, "<f4")
-            if f.readinto(blob) != blob.nbytes:
-                raise CheckpointError(f"{path}: truncated weight blob for {entry}")
-            arr[...] = blob
+            for rows in _blocks(arr):
+                part = arr[rows]
+                block = buf[: part.size].reshape(part.shape)
+                if f.readinto(block) != block.nbytes:
+                    raise CheckpointError(f"{path}: truncated weight blob for {entry}")
+                part[...] = block
         if f.tell() != size:
             raise CheckpointError(f"{path}: {size - f.tell()} trailing bytes")
     return model

@@ -187,37 +187,40 @@ def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
     gs_critic = np.repeat(np.float32([-1.0 / b, 1.0 / b]), b)
     gs_gen = np.full(b, -1.0 / b, dtype=np.float32)
 
-    for step in range(1, config.steps + 1):
-        c_loss = w_est = 0.0
-        for _ in range(config.n_critic):
-            idx = rng.integers(0, n_data, size=b)
-            real = data[idx]
+    # a diverging run overflows before its loss turns non-finite; the
+    # TrainingDivergedError below reports it, so numpy need not warn as well
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, config.steps + 1):
+            c_loss = w_est = 0.0
+            for _ in range(config.n_critic):
+                idx = rng.integers(0, n_data, size=b)
+                real = data[idx]
+                z = sample_latent(rng, b, config.latent_dist)
+                fake = gen.forward(z)
+                scores = critic.forward(np.concatenate([real, fake]), rng=rng)
+                c_loss = critic_loss(scores[:b], scores[b:])
+                if not np.isfinite(c_loss):
+                    raise TrainingDivergedError(step, "critic loss", c_loss)
+                w_est = -c_loss
+                critic.backward(gs_critic, input_grad=False)
+                c_opt.step(critic.grad_arrays())
+                clip_weights(critic, config.clip_c)
+
             z = sample_latent(rng, b, config.latent_dist)
             fake = gen.forward(z)
-            scores = critic.forward(np.concatenate([real, fake]), rng=rng)
-            c_loss = critic_loss(scores[:b], scores[b:])
-            if not np.isfinite(c_loss):
-                raise TrainingDivergedError(step, "critic loss", c_loss)
-            w_est = -c_loss
-            critic.backward(gs_critic, input_grad=False)
-            c_opt.step(critic.grad_arrays())
-            clip_weights(critic, config.clip_c)
+            scores = critic.forward(fake, rng=rng)
+            g_loss = generator_loss(scores)
+            if not np.isfinite(g_loss):
+                raise TrainingDivergedError(step, "generator loss", g_loss)
+            gx = critic.backward(gs_gen, param_grads=False)
+            gen.backward(gx, input_grad=False)
+            g_opt.step(gen.grad_arrays())
 
-        z = sample_latent(rng, b, config.latent_dist)
-        fake = gen.forward(z)
-        scores = critic.forward(fake, rng=rng)
-        g_loss = generator_loss(scores)
-        if not np.isfinite(g_loss):
-            raise TrainingDivergedError(step, "generator loss", g_loss)
-        gx = critic.backward(gs_gen, param_grads=False)
-        gen.backward(gx, input_grad=False)
-        g_opt.step(gen.grad_arrays())
-
-        result.log.append(LogRow(step, c_loss, g_loss, w_est))
-        result.model.step = step
-        if (out_path is not None and config.checkpoint_every > 0
-                and step % config.checkpoint_every == 0):
-            save_checkpoint(result.model, out_path / f"checkpoint_{step:06d}.gan")
+            result.log.append(LogRow(step, c_loss, g_loss, w_est))
+            result.model.step = step
+            if (out_path is not None and config.checkpoint_every > 0
+                    and step % config.checkpoint_every == 0):
+                save_checkpoint(result.model, out_path / f"checkpoint_{step:06d}.gan")
 
     if out_path is not None:
         save_checkpoint(result.model, out_path / "checkpoint_final.gan")

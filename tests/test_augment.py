@@ -201,6 +201,12 @@ class TestAugmentCorpus:
             np.testing.assert_array_equal(load_wav(a.out_path).samples,
                                           load_wav(b.out_path).samples)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_refused(self, tmp_path, threads):
+        clean, rirs, noises = make_corpus(tmp_path)
+        with pytest.raises(ValueError):
+            augment_corpus(clean, rirs, noises, AugmentSpec(), tmp_path / "out", threads=threads)
+
     def test_order_independent(self, tmp_path):
         clean, rirs, noises = make_corpus(tmp_path)
         spec = AugmentSpec(rng_seed=42)

@@ -304,8 +304,7 @@ def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
         assert str(tmp_path / NAMED_FILE[case]) in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diverged_training_exits_2(workspace, tmp_path, capsys):
     cfg = _config(tmp_path, {"pool": str(workspace / "rirs.csv"), "steps": 5,
                              "learning_rate": 1e38, "d": 1, "batch_size": 2,

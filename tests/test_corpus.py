@@ -154,6 +154,12 @@ class TestValidate:
         report = validate_pool(RirPool((PoolEntry("j", "OTHER", str(p)),)))
         assert any("loadable" in f[1] for f in report.findings)
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_refused(self, tmp_path, threads):
+        pool = RirPool((PoolEntry("x", "BUT", str(tmp_path / "gone.wav")),))
+        with pytest.raises(ValueError):
+            validate_pool(pool, threads=threads)
+
 
 class TestPoolCsv:
     def test_round_trip_with_provenance(self, tmp_path):
