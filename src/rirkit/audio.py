@@ -21,6 +21,7 @@ RIR_LENGTH = 16384
 # windowed-sinc resampler quality knobs
 _SINC_ZERO_CROSSINGS = 64
 _KAISER_BETA = 8.6
+_MAX_TAPS = 1 << 23  # 64 MiB of float64 taps; 44.1 kHz -> 16 kHz needs 56,449
 
 
 class WavFormatError(ValueError):
@@ -201,6 +202,7 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Band-limited polyphase resampling (Kaiser-windowed sinc).
 
     Output length is round(n * target / source). Identity when rates match.
+    A ratio whose filter needs more than _MAX_TAPS taps is refused unbuilt.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be > 0, got {target_rate}")
@@ -209,12 +211,14 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
         return AudioBuffer(buffer.samples.copy(), src)
 
     up, down = _ratio(src, int(target_rate))
+    n_taps = 2 * _SINC_ZERO_CROSSINGS * max(up, down) + 1
+    if n_taps > _MAX_TAPS:
+        raise ValueError(f"resampling {src} Hz to {target_rate} Hz needs a "
+                         f"{n_taps}-tap filter, more than the {_MAX_TAPS} allowed")
     y = resample_poly(buffer.samples.astype(np.float64), up, down,
                       window=_sinc_taps(up, down))
-
+    # resample_poly gives ceil(n * up / down) samples, never fewer than n_out
     n_out = int(np.floor(buffer.samples.size * target_rate / src + 0.5))
-    if y.size < n_out:
-        y = np.concatenate([y, np.zeros(n_out - y.size)])
     return AudioBuffer(y[:n_out].astype(np.float32), int(target_rate))
 
 

@@ -70,7 +70,7 @@ class MixRecord:
     clean_path: str
     rir_id: str
     noise_id: str
-    snr: float  # linear power ratio
+    snr: float  # as drawn, in the spec's unit: dB if snr_in_db, else linear power ratio
     k: int  # noise start offset, samples
     alpha: float
     rescale: float
@@ -144,9 +144,10 @@ def mix(clean: AudioBuffer, rir: Rir | AudioBuffer, noise: AudioBuffer,
 
 
 def read_clean_manifest(path: str | Path) -> list[tuple[str, str]]:
-    """CSV `utt_id,path` (header optional, # comments skipped)."""
+    """CSV `utt_id,path` (header optional, # comments skipped). A line with
+    no path is a ValueError naming the file and the line."""
     rows = []
-    for line in read_text(path).splitlines():
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -154,7 +155,7 @@ def read_clean_manifest(path: str | Path) -> list[tuple[str, str]]:
         if utt_id == "utt_id" and p == "path":
             continue
         if not p:
-            raise ValueError(f"{path}: bad manifest line {line!r}")
+            raise ValueError(f"{path}: line {lineno}: bad manifest line {line!r}")
         rows.append((utt_id, p))
     return rows
 

@@ -80,8 +80,11 @@ def _load_json(path: Path | None) -> dict:
     return cfg
 
 
-def _from_config(cls, cfg: dict, path: Path | None):
-    """cls(**cfg), reporting an unknown key or a mistyped value as bad input."""
+def _from_config(cls, cfg: dict, path: Path | None, seed: int | None):
+    """cls(**cfg), with --seed (when given) overriding rng_seed; an unknown key
+    or a mistyped value is reported as bad input."""
+    if seed is not None:
+        cfg = {**cfg, "rng_seed": seed}
     try:
         return cls(**cfg)
     except TypeError as exc:
@@ -116,10 +119,14 @@ def _cmd_train(args) -> int:
     if "pool" not in cfg:
         raise ValueError(f"{args.config}: train config needs a pool")
     pool = corpus.read_pool_csv(cfg.pop("pool"))
-    if args.seed is not None:
-        cfg["rng_seed"] = args.seed
-    config = _from_config(TrainConfig, cfg, args.config)
-    dataset = [to_rir(load_wav(e.path)) for e in pool.entries]
+    config = _from_config(TrainConfig, cfg, args.config, args.seed)
+    dataset = []
+    for e in pool.entries:
+        buffer = load_wav(e.path)  # load_wav's errors name the file
+        try:
+            dataset.append(to_rir(buffer))
+        except ValueError as exc:
+            raise ValueError(f"{e.path}: {exc}") from exc
     result = train(dataset, config, out_dir=args.out_dir)
     last = result.log[-1]
     print(f"trained {config.steps} generator steps "
@@ -132,10 +139,8 @@ def _cmd_train(args) -> int:
 def _cmd_generate(args) -> int:
     model = load_checkpoint(args.model)
     hists = sampler.load_histograms(args.hist)
-    cfg = _load_json(args.config)
-    if args.seed is not None:
-        cfg["rng_seed"] = args.seed
-    config = _from_config(sampler.SamplerConfig, cfg, args.config)
+    config = _from_config(sampler.SamplerConfig, _load_json(args.config), args.config,
+                          args.seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         rirs, report = sampler.generate_constrained(model, hists, args.n, config)
@@ -152,10 +157,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    spec_dict = _load_json(args.spec)
-    if args.seed is not None:
-        spec_dict["rng_seed"] = args.seed
-    spec = _from_config(augment.AugmentSpec, spec_dict, args.spec)
+    spec = _from_config(augment.AugmentSpec, _load_json(args.spec), args.spec, args.seed)
     manifest = augment.read_clean_manifest(args.clean)
     rirs = corpus.read_pool_csv(args.rirs)
     noise = corpus.read_pool_csv(args.noise)

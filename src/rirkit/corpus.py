@@ -134,8 +134,8 @@ def validate_pool(pool: RirPool, load: bool = True, threads: int = 1) -> Validat
 
 
 def read_pool_csv(path: str | Path) -> RirPool:
-    """Read a pool CSV. A row with an empty id or an empty path is refused
-    with a ValueError naming the file and the line."""
+    """Read a pool CSV. A row with the wrong number of fields, an empty id or
+    an empty path is refused with a ValueError naming the file and the line."""
     entries = []
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if line.startswith("#") or not line.strip():
@@ -144,8 +144,8 @@ def read_pool_csv(path: str | Path) -> RirPool:
         if row[:3] == ["id", "source", "path"]:
             continue
         if len(row) not in (3, 4):
-            raise ValueError(f"{path}: expected id,source,path[,strat_key] rows, "
-                             f"got {line!r}")
+            raise ValueError(f"{path}: line {lineno}: expected "
+                             f"id,source,path[,strat_key], got {line!r}")
         if not row[0] or not row[2]:
             raise ValueError(f"{path}: line {lineno}: empty id or path in {line!r}")
         entries.append(PoolEntry(*row))

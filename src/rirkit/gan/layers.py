@@ -279,7 +279,9 @@ class PhaseShuffle(Layer):
     Forward is two slice copies: the shifted body and the |shift| reflected
     edge samples, reversed. Linear, so backward copies the gradient back by
     the shift and then adds those edge samples' gradients, reversed, onto the
-    samples they were read from.
+    samples they were read from. A negative shift is a positive shift of the
+    time-reversed signal, so both directions run the same copies, on reversed
+    views when the shift is negative.
     """
 
     def __init__(self, radius: int):
@@ -292,24 +294,18 @@ class PhaseShuffle(Layer):
             raise ValueError(f"shift {shift} does not fit a length of {t}")
         self._ctx = shift
         y = np.empty(x.shape, dtype=x.dtype)
-        if shift >= 0:  # y[a + i] = x[i]; y[a - 1 - i] = x[1 + i] for i < a
-            y[:, a:] = x[:, : t - a]
-            y[:, :a] = x[:, 1 : a + 1][:, ::-1]
-        else:  # y[i] = x[a + i]; y[t - 1 - i] = x[t - 1 - a + i] for i < a
-            y[:, : t - a] = x[:, a:]
-            y[:, t - a :] = x[:, t - 1 - a : t - 1][:, ::-1]
+        src, dst = (x, y) if shift >= 0 else (x[:, ::-1], y[:, ::-1])
+        # dst[a + i] = src[i]; dst[a - 1 - i] = src[1 + i] for i < a
+        dst[:, a:] = src[:, : t - a]
+        dst[:, :a] = src[:, 1 : a + 1][:, ::-1]
         return y
 
     def backward(self, gy, param_grads=True):
         shift = self._require_ctx()
         t, a = gy.shape[1], abs(shift)
         gx = np.empty(gy.shape, dtype=gy.dtype)
-        if shift >= 0:  # y[a + i] = x[i]; y[a - 1 - i] = x[1 + i] for i < a
-            gx[:, : t - a] = gy[:, a:]
-            gx[:, t - a :] = 0
-            gx[:, 1 : a + 1] += gy[:, :a][:, ::-1]
-        else:  # y[i] = x[a + i]; y[t - 1 - i] = x[t - 1 - a + i] for i < a
-            gx[:, a:] = gy[:, : t - a]
-            gx[:, :a] = 0
-            gx[:, t - 1 - a : t - 1] += gy[:, t - a :][:, ::-1]
+        src, dst = (gy, gx) if shift >= 0 else (gy[:, ::-1], gx[:, ::-1])
+        dst[:, : t - a] = src[:, a:]
+        dst[:, t - a :] = 0
+        dst[:, 1 : a + 1] += src[:, :a][:, ::-1]
         return gx

@@ -4,8 +4,9 @@ The generator maps a 100-dim latent vector through a dense stage and five
 stride-4 transposed convolutions (kernel 25) to a 16384-sample waveform in
 (-1, 1). The critic mirrors it with five stride-4 convolutions, leaky ReLU,
 optional phase shuffle between layers, and a dense head producing one
-unbounded realness score per input. The width multiplier d scales channel
-counts (d=4 desk-scale, d=64 full-scale).
+unbounded realness score per input. Both take batches only, one input per
+row. The width multiplier d scales channel counts (d=4 desk-scale, d=64
+full-scale).
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ LEAKY_SLOPE = 0.2
 LATENT_DISTS = ("uniform", "gaussian")
 
 
-def sample_latent(rng: np.random.Generator, n: int | None = None,
+def sample_latent(rng: np.random.Generator, n: int,
                   dist: str = "uniform") -> np.ndarray:
-    """Draw latent vectors: i.i.d. Uniform[-1, 1] by default, or standard
-    Gaussian with dist="gaussian". Shape (LATENT_DIM,) or (n, LATENT_DIM)."""
-    shape = (LATENT_DIM,) if n is None else (n, LATENT_DIM)
+    """Draw an (n, LATENT_DIM) batch of latent vectors: i.i.d. Uniform[-1, 1]
+    by default, or standard Gaussian with dist="gaussian"."""
+    shape = (n, LATENT_DIM)
     if dist == "uniform":
         return rng.uniform(-1.0, 1.0, size=shape)
     if dist == "gaussian":
@@ -49,7 +50,7 @@ def sample_latent(rng: np.random.Generator, n: int | None = None,
 
 
 class _Net:
-    """An ordered layer stack, its named parameter layers, and the one
+    """An ordered layer stack, its named parameter layers, and the one batch-only
     forward/backward loop both networks share. Subclasses set ``n_in`` (values
     per input row) and ``out_shape`` (per-row output shape)."""
 
@@ -70,18 +71,14 @@ class _Net:
             self._layers[name] = layer
 
     def forward(self, x: np.ndarray, rng: np.random.Generator | None = None) -> np.ndarray:
-        """(n, n_in) batch -> (n, *out_shape); one unbatched row gives one
-        unbatched output.
+        """(n, n_in) batch -> (n, *out_shape); any other shape is a ValueError.
 
         Each phase-shuffle layer draws its shift from rng, in stack order.
         With rng=None (evaluation, gradient checks) or radius 0 every shift
         is 0, an exactly reproducible, shuffle-free pass.
         """
         h = np.asarray(x, dtype=self.dtype)
-        squeeze = h.ndim == 1
-        if squeeze:
-            h = h[None, :]
-        if h.shape[1:] != (self.n_in,):
+        if h.ndim != 2 or h.shape[1] != self.n_in:
             raise ValueError(f"{type(self).__name__} input must have {self.n_in} "
                              f"values per row, got {h.shape}")
         for layer in self._stack:
@@ -91,20 +88,18 @@ class _Net:
                 h = layer.forward(h, shift)
             else:
                 h = layer.forward(h)
-        return h[0] if squeeze else h
+        return h
 
     def backward(self, g: np.ndarray, param_grads: bool = True,
                  input_grad: bool = True) -> np.ndarray:
-        """Gradient wrt the last forward's output -> (n, n_in) gradient wrt
-        its input; parameter gradients land in each layer's ``grads``.
+        """(n, *out_shape) gradient wrt the last forward's output -> (n, n_in)
+        gradient wrt its input; parameter gradients land in each layer's ``grads``.
 
         With input_grad=False the caller will not read the input gradient:
         the first parameter layer skips it, and zeros of its shape (a
         read-only broadcast view) come back. Parameter gradients are the same.
         """
         g = np.asarray(g, dtype=self.dtype)
-        if g.ndim == len(self.out_shape):
-            g = g[None]
         first = next(iter(self._layers.values()))
         for layer in reversed(self._stack):
             if layer is first:

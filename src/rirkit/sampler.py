@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._fields import check_fields, parse_json, read_text
-from .acoustics import AcousticParams, EstimationError, analyze
+from .acoustics import AcousticParams, analyze
 from .audio import Rir
 
 PARAM_NAMES = ("t60", "drr", "edt", "cte")
@@ -203,7 +203,7 @@ class GenerationReport:
     def record_rejection(self, reasons: Iterable[str]) -> None:
         self.rejected += 1
         for r in reasons:
-            self.rejections_by_param[r] = self.rejections_by_param.get(r, 0) + 1
+            self.rejections_by_param[r] += 1
 
     def to_csv(self, path: str | Path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as f:
@@ -220,8 +220,9 @@ def generate_constrained(model, hists: ParamHistograms, n: int,
                          ) -> tuple[list[Rir], GenerationReport]:
     """Sample the generator until n candidates pass the histogram constraint.
 
-    One seeded rng drives latent draws and relaxation draws, so output is a
-    pure function of (model, histograms, n, config). Raises
+    Each try runs the generator on a one-row latent batch. One seeded rng
+    drives latent draws and relaxation draws, so output is a pure function of
+    (model, histograms, n, config). Raises
     GenerationStalledError when a single sample burns max_tries_per_sample
     attempts without an accept.
     """
@@ -233,32 +234,28 @@ def generate_constrained(model, hists: ParamHistograms, n: int,
     report = GenerationReport()
     out: list[Rir] = []
     while len(out) < n:
-        tries_this_sample = 0
-        while True:
+        for _ in range(config.max_tries_per_sample):
             report.tries += 1
-            tries_this_sample += 1
-            z = sample_latent(rng, dist=model.latent_dist)
-            wave = model.generator.forward(z)
+            z = sample_latent(rng, 1, dist=model.latent_dist)
+            wave = model.generator.forward(z)[0]
             try:
-                rir = Rir.from_samples(np.asarray(wave, dtype=np.float32))
+                rir = Rir.from_samples(wave)
                 params = analyze(rir)
-            except EstimationError as exc:
-                report.record_rejection([exc.parameter or "invalid"])
-            except ValueError:
-                report.record_rejection(["invalid"])
-            else:
-                decision = accept(params, hists, config.relax_prob, rng)
-                if decision:
-                    report.accepted += 1
-                    out.append(rir)
-                    break
-                report.record_rejection(decision.violations)
-            if tries_this_sample >= config.max_tries_per_sample:
-                raise GenerationStalledError(
-                    f"no accepted sample in {config.max_tries_per_sample} tries "
-                    f"(got {len(out)}/{n}); the model does not fit the constraints",
-                    report,
-                )
+            except ValueError as exc:  # an EstimationError names its parameter
+                report.record_rejection([getattr(exc, "parameter", "") or "invalid"])
+                continue
+            decision = accept(params, hists, config.relax_prob, rng)
+            if decision:
+                report.accepted += 1
+                out.append(rir)
+                break
+            report.record_rejection(decision.violations)
+        else:
+            raise GenerationStalledError(
+                f"no accepted sample in {config.max_tries_per_sample} tries "
+                f"(got {len(out)}/{n}); the model does not fit the constraints",
+                report,
+            )
     return out, report
 
 

@@ -206,8 +206,24 @@ class TestResample:
         np.testing.assert_allclose(interior, 0.5, atol=1e-3)
 
     def test_output_length_rounds(self):
-        buf = AudioBuffer(np.zeros(100, dtype=np.float32) + 0.1, 44100)
-        assert len(resample(buf, 16000)) == round(100 * 16000 / 44100)
+        """resample keeps the first round(n * 16000 / rate) of the ceil(n * up /
+        down) samples resample_poly gives, and relies on there being no fewer.
+        12345 Hz and 44101 Hz (0.4 M and 5.6 M filter taps, 11 and 100 ms a
+        call) are swept at every 20th length."""
+        for rate, step in [(8000, 1), (11025, 1), (22050, 1), (32000, 1), (44100, 1),
+                           (48000, 1), (88200, 1), (96000, 1), (12345, 20), (44101, 20)]:
+            for n in range(1, 400, step):
+                n_out = int(np.floor(n * 16000 / rate + 0.5))
+                if n_out == 0:
+                    continue  # nothing to keep, and a buffer cannot be empty
+                buf = AudioBuffer(np.full(n, 0.1, dtype=np.float32), rate)
+                assert len(resample(buf, 16000)) == n_out, (rate, n)
+
+    @pytest.mark.parametrize("rate", [65537, 4294967291])
+    def test_filter_past_the_tap_budget_refused(self, rate):
+        buf = AudioBuffer(np.full(100, 0.1, dtype=np.float32), rate)
+        with pytest.raises(ValueError, match=f"^resampling {rate} Hz to 16000 Hz needs"):
+            resample(buf, 16000)
 
     def test_bad_rate(self):
         buf = AudioBuffer(np.float32([0.1]), 16000)

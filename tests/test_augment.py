@@ -296,6 +296,12 @@ class TestManifests:
         rows = read_clean_manifest(p)
         assert rows == [("u1", "/x/a.wav"), ("u2", "/x/b.wav")]
 
+    def test_clean_manifest_bad_line_names_the_line(self, tmp_path):
+        p = tmp_path / "clean.csv"
+        p.write_text("utt_id,path\n# a comment\nu1,/x/a.wav\nu2\n")
+        with pytest.raises(ValueError, match=r"clean\.csv: line 4: bad manifest line 'u2'"):
+            read_clean_manifest(p)
+
     def test_mix_record_json_round_trip(self, tmp_path):
         rec = MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0, "/o.wav")
         write_manifest([rec], tmp_path / "manifest.jsonl")

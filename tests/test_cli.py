@@ -142,6 +142,23 @@ def test_augment_failure_exit_code(workspace, tmp_path):
     assert rc == 1
 
 
+def _huge_rate_wav(tmp):
+    """A float WAV whose header claims 4294967291 Hz, a rate no resampling
+    filter to 16 kHz could be built for."""
+    path = tmp / "huge_rate.wav"
+    save_wav(AudioBuffer(np.full(64, 0.5, dtype=np.float32), 16000), path)
+    data = bytearray(path.read_bytes())
+    data[24:28] = struct.pack("<I", 4294967291)  # the fmt chunk's sample rate
+    path.write_bytes(bytes(data))
+    return path
+
+
+def _zeros_wav(tmp):
+    path = tmp / "zeros.wav"
+    save_wav(AudioBuffer(np.zeros(64, dtype=np.float32), 16000), path)
+    return path
+
+
 def test_analyze_reports_failed_rirs_and_carries_on(workspace, tmp_path, capsys):
     garbage = tmp_path / "garbage.wav"
     garbage.write_bytes(b"not a wav at all")
@@ -149,12 +166,14 @@ def test_analyze_reports_failed_rirs_and_carries_on(workspace, tmp_path, capsys)
     delta[0] = 1.0  # its decay is instantaneous, so T60 cannot be estimated
     save_wav(AudioBuffer(delta, 16000), tmp_path / "delta.wav")
     good = workspace / "rir_0.wav"
-    rc = main(["analyze", str(garbage), str(good), str(tmp_path / "delta.wav"),
+    huge = _huge_rate_wav(tmp_path)
+    rc = main(["analyze", str(garbage), str(good), str(tmp_path / "delta.wav"), str(huge),
                "--csv", str(tmp_path / "params.csv")])
     assert rc == 1
     out, err = capsys.readouterr()
     assert "rir_0: t60=" in out
     assert "failed" in err and "garbage.wav" in err and "delta.wav" in err
+    assert f"failed {huge}: resampling 4294967291 Hz to 16000 Hz" in err
     rows = (tmp_path / "params.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("rir_0,")
 
@@ -277,6 +296,12 @@ BAD_INPUTS = {
         "generate", "--model",
         _header(tmp, json.dumps({"d": 100000, "step": 0, "seed": 0, "params": []}).encode()),
         "--hist", _hist(ws, tmp), "-n", "1"],
+    "train pool WAV at a rate past the resampler": lambda ws, tmp: [
+        "train", "--config",
+        _config(tmp, {"pool": _pool(tmp, f"r,S,{_huge_rate_wav(tmp)}\n"), "steps": 1})],
+    "train pool WAV all zeros": lambda ws, tmp: [
+        "train", "--config",
+        _config(tmp, {"pool": _pool(tmp, f"r,S,{_zeros_wav(tmp)}\n"), "steps": 1})],
 }
 
 # cases whose error line must name the file that could not be read
@@ -289,6 +314,8 @@ NAMED_FILE = {
     "histogram nested too deeply": "config.json",
     "checkpoint header nested too deeply": "model.gan",
     "checkpoint d too large to build": "model.gan",
+    "train pool WAV at a rate past the resampler": "huge_rate.wav",
+    "train pool WAV all zeros": "zeros.wav",
 }
 
 

@@ -178,6 +178,12 @@ class TestPoolCsv:
         with pytest.raises(ValueError):
             read_pool_csv(p)
 
+    def test_wrong_field_count_names_the_line(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("# seed=1\nid,source,path\nok,BUT,/x/ok.wav\na,b,c,d,e\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: line 4: expected id,source,path"):
+            read_pool_csv(p)
+
     @pytest.mark.parametrize("row", [",,", ",BUT,/x/a.wav", "a,BUT,", '"",BUT,""',
                                      "a,BUT,,room1"])
     def test_rejects_empty_id_or_path(self, tmp_path, row):

@@ -19,10 +19,10 @@ import rirkit.gan.training as train_mod
 
 class TestLatent:
     def test_seeded_determinism(self):
-        a = sample_latent(np.random.default_rng(5))
-        b = sample_latent(np.random.default_rng(5))
+        a = sample_latent(np.random.default_rng(5), 1)
+        b = sample_latent(np.random.default_rng(5), 1)
         np.testing.assert_array_equal(a, b)
-        assert a.shape == (100,)
+        assert a.shape == (1, 100)
 
     def test_support(self):
         z = sample_latent(np.random.default_rng(0), n=200)
@@ -38,7 +38,7 @@ class TestLatent:
         z = sample_latent(np.random.default_rng(2), n=5000, dist="gaussian")
         assert abs(z.std() - 1.0) < 0.05
         with pytest.raises(ValueError):
-            sample_latent(np.random.default_rng(0), dist="cauchy")
+            sample_latent(np.random.default_rng(0), 1, dist="cauchy")
 
 
 class TestForward:
@@ -51,14 +51,14 @@ class TestForward:
 
     def test_generator_deterministic(self):
         gen = Generator(d=1, rng=np.random.default_rng(3))
-        z = sample_latent(np.random.default_rng(4))
+        z = sample_latent(np.random.default_rng(4), 1)
         np.testing.assert_array_equal(gen.forward(z), gen.forward(z))
 
     def test_generator_sensitive_to_latent(self):
         gen = Generator(d=1, rng=np.random.default_rng(3))
-        z = sample_latent(np.random.default_rng(4))
+        z = sample_latent(np.random.default_rng(4), 1)
         z2 = z.copy()
-        z2[17] += 0.25
+        z2[0, 17] += 0.25
         assert np.max(np.abs(gen.forward(z) - gen.forward(z2))) > 0
 
     def test_critic_seeded_repeatable(self):
@@ -85,6 +85,13 @@ class TestForward:
         crit = Critic(d=1, rng=np.random.default_rng(5))
         with pytest.raises(ValueError):
             crit.forward(np.zeros((1, 100), dtype=np.float32))
+
+    def test_unbatched_input_refused(self):
+        assert sample_latent(np.random.default_rng(5), 3).shape == (3, 100)
+        with pytest.raises(ValueError, match="values per row"):
+            Generator(d=1).forward(np.zeros(100, dtype=np.float32))
+        with pytest.raises(ValueError, match="values per row"):
+            Critic(d=1).forward(np.zeros(16384, dtype=np.float32))
 
 
 class TestLosses:

@@ -17,7 +17,7 @@ import rirkit.gan.training as training
 import rirkit.sampler as sampler
 from rirkit.gan.layers import Conv1d, ConvTranspose1d
 
-from conftest import exp_decay_rir
+from conftest import exp_decay, exp_decay_rir
 
 OWNERS = (acoustics, audio, augment, corpus, checkpoint, nets, training, sampler,
           nets.Generator, nets.Critic, training.RMSProp)
@@ -76,3 +76,34 @@ def test_analyze_traces_one_decay_curve():
     assert children == sorted(names[:top] + names[top + 1:])
     assert children == ["acoustics.cte", "acoustics.drr", "acoustics.edc",
                         "acoustics.edt", "acoustics.t60"]
+
+
+class _DecayGenerator:
+    """Maps each latent row to an exponential decay, T60 = 0.5 + 2 mean(z) s."""
+
+    def forward(self, z):
+        return np.stack([exp_decay(0.5 + 2.0 * row.mean()) for row in z]).astype(np.float32)
+
+
+class _DecayModel:
+    latent_dist = "uniform"
+    generator = _DecayGenerator()
+
+
+def test_generate_traces_one_latent_draw_per_try():
+    """The benchmark counts generate's tries by its gan.sample_latent spans,
+    so each try, accepted or rejected, must draw its own latent."""
+    hists = sampler.build_histograms(
+        [sampler.analyze(exp_decay_rir(t)) for t in np.linspace(0.45, 0.7, 8)])
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        _, report = sampler.generate_constrained(
+            _DecayModel(), hists, 3, sampler.SamplerConfig(relax_prob=0.0, rng_seed=1))
+    finally:
+        tracer.uninstall()
+    assert tracer.problems == []
+    assert report.tries > report.accepted == 3
+    names = [span[0] for span in tracer.spans]
+    assert names.count("gan.sample_latent") == report.tries

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rirkit.acoustics import AcousticParams, analyze
+from rirkit.acoustics import AcousticParams, EstimationError, analyze
+from rirkit.audio import Rir
+from rirkit.gan.nets import sample_latent
 from rirkit.sampler import (
+    PARAM_NAMES,
+    GenerationReport,
     GenerationStalledError,
     Histogram,
     SamplerConfig,
@@ -230,12 +234,15 @@ class TestHistogramPrimitives:
 
 class _StubGenerator:
     """Deterministic z -> waveform map emitting exponential decays whose rate
-    depends on the latent vector; lets sampler tests run without training."""
+    depends on the latent vector; lets sampler tests run without training.
+    Takes a one-row (1, 100) batch, as generate_constrained passes, and
+    returns a (1, 16384) batch."""
 
     def __init__(self, t60_range=(0.25, 0.75)):
         self.t60_range = t60_range
 
     def forward(self, z):
+        (z,) = z
         lo, hi = self.t60_range
         u = (float(np.tanh(z.sum() / 10.0)) + 1.0) / 2.0
         t60 = lo + (hi - lo) * u
@@ -244,7 +251,7 @@ class _StubGenerator:
         rng = np.random.default_rng(int(abs(z[0]) * 1e6) + 1)
         h = h * (1.0 + 0.05 * rng.standard_normal(16384))
         h[0] = 1.0
-        return h.astype(np.float32)
+        return h.astype(np.float32)[None, :]
 
 
 class _StubModel:
@@ -260,8 +267,8 @@ def stub_hists():
     model = _StubModel()
     rows = []
     for _ in range(200):
-        z = rng.uniform(-1, 1, 100)
-        rows.append(analyze_rir(model.generator.forward(z)))
+        z = rng.uniform(-1, 1, (1, 100))
+        rows.append(analyze_rir(model.generator.forward(z)[0]))
     return build_histograms(rows, SamplerConfig())
 
 
@@ -312,6 +319,101 @@ class TestGenerateConstrained:
         lines = p.read_text().splitlines()
         assert lines[0] == "parameter,rejections"
         assert any(line.startswith("tries,") for line in lines)
+
+
+def _reference_generate(model, hists, n, config):
+    """generate_constrained with the try loop it had before it became one
+    flat for-loop: its own try counter and two except branches. Changed only
+    to run the generator on a one-row batch."""
+    rng = np.random.default_rng(config.rng_seed)
+    report = GenerationReport()
+    out = []
+    while len(out) < n:
+        tries_this_sample = 0
+        while True:
+            report.tries += 1
+            tries_this_sample += 1
+            z = sample_latent(rng, 1, dist=model.latent_dist)
+            wave = model.generator.forward(z)[0]
+            try:
+                rir = Rir.from_samples(np.asarray(wave, dtype=np.float32))
+                params = analyze(rir)
+            except EstimationError as exc:
+                report.record_rejection([exc.parameter or "invalid"])
+            except ValueError:
+                report.record_rejection(["invalid"])
+            else:
+                decision = accept(params, hists, config.relax_prob, rng)
+                if decision:
+                    report.accepted += 1
+                    out.append(rir)
+                    break
+                report.record_rejection(decision.violations)
+            if tries_this_sample >= config.max_tries_per_sample:
+                raise GenerationStalledError(
+                    f"no accepted sample in {config.max_tries_per_sample} tries "
+                    f"(got {len(out)}/{n}); the model does not fit the constraints",
+                    report,
+                )
+    return out, report
+
+
+class _FaultyStubGenerator(_StubGenerator):
+    """_StubGenerator, but a latent whose first value is below -0.7 gives an
+    all-zero row (no RIR), one above 0.8 a bare impulse (no T60), and one in
+    (0.6, 0.8] an impulse over a faint tail (no EDT)."""
+
+    def forward(self, z):
+        h = super().forward(z)
+        u = z[0, 0]
+        if u < -0.7:
+            h[:] = 0.0
+        elif u > 0.8:
+            h[:, 1:] = 0.0
+        elif u > 0.6:
+            h[:, 1:] *= 0.01
+        return h
+
+
+class TestFlatTryLoop:
+    """generate_constrained against _reference_generate: equal RIR bytes and
+    an equal report."""
+
+    def _assert_same(self, model, hists, n, cfg):
+        rirs, report = generate_constrained(model, hists, n, cfg)
+        ref_rirs, ref_report = _reference_generate(model, hists, n, cfg)
+        assert report == ref_report
+        assert len(rirs) == len(ref_rirs) == n
+        for a, b in zip(rirs, ref_rirs):
+            assert a.samples.tobytes() == b.samples.tobytes()
+        return rirs, report
+
+    def test_relaxed_accepts(self, stub_hists):
+        rirs, _ = self._assert_same(_StubModel(), stub_hists, 40,
+                                    SamplerConfig(relax_prob=0.05, rng_seed=2))
+        relaxed = [r for r in rirs
+                   if not all(stub_hists[name].in_support(getattr(analyze(r), name))
+                              for name in PARAM_NAMES)]
+        assert relaxed
+
+    def test_invalid_rows_and_estimation_errors(self, stub_hists):
+        model = _StubModel()
+        model.generator = _FaultyStubGenerator()
+        _, report = self._assert_same(model, stub_hists, 10,
+                                      SamplerConfig(relax_prob=0.05, rng_seed=4))
+        by_param = report.rejections_by_param
+        assert by_param["invalid"] > 0 and by_param["t60"] > 0 and by_param["edt"] > 0
+
+    def test_stall(self, stub_hists):
+        model = _StubModel(t60_range=(2.5, 3.5))
+        cfg = SamplerConfig(relax_prob=0.0, rng_seed=0, max_tries_per_sample=10)
+        with pytest.raises(GenerationStalledError) as new:
+            generate_constrained(model, stub_hists, 1, cfg)
+        with pytest.raises(GenerationStalledError) as ref:
+            _reference_generate(model, stub_hists, 1, cfg)
+        assert str(new.value) == str(ref.value)
+        assert new.value.report == ref.value.report
+        assert new.value.report.tries == 10
 
 
 def test_sampler_config_validation():
