@@ -20,6 +20,7 @@ from .audio import (
     UnsupportedEncodingError,
     WavFormatError,
     convolve,
+    load_rir,
     load_wav,
     resample,
     save_wav,

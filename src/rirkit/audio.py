@@ -6,7 +6,7 @@ Everything here is a pure function over immutable inputs; no shared state.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
@@ -57,40 +57,31 @@ class AudioBuffer:
 
 
 @dataclass(frozen=True)
-class Rir:
-    """Canonical room impulse response: exactly 16384 float32 samples at 16 kHz,
-    peak-normalized so max |sample| == 1."""
+class Rir(AudioBuffer):
+    """Canonical room impulse response: an AudioBuffer of exactly 16384
+    samples at 16 kHz, peak-normalized so max |sample| == 1."""
 
-    samples: np.ndarray
+    sample_rate: int = field(default=RIR_RATE, init=False)
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.float32)
-        if s.shape != (RIR_LENGTH,):
-            raise ValueError(f"RIR must have exactly {RIR_LENGTH} samples, got {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("RIR samples contain NaN or Inf")
-        peak = float(np.max(np.abs(s)))
+        super().__post_init__()
+        if len(self) != RIR_LENGTH:
+            raise ValueError(f"RIR must have exactly {RIR_LENGTH} samples, got {len(self)}")
+        peak = float(np.max(np.abs(self.samples)))
         if abs(peak - 1.0) > 1e-6:
             raise ValueError(f"RIR must be peak-normalized to 1, peak is {peak}")
-        object.__setattr__(self, "samples", s)
-
-    @property
-    def sample_rate(self) -> int:
-        return RIR_RATE
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "Rir":
         """Peak-normalize a 16384-sample vector and wrap it as a canonical RIR."""
         s = np.asarray(samples, dtype=np.float32)
-        if s.shape != (RIR_LENGTH,):
-            raise ValueError(f"expected {RIR_LENGTH} samples, got {s.shape}")
         peak = float(np.max(np.abs(s)))
         if peak == 0.0 or not np.isfinite(peak):
             raise ValueError("cannot normalize an all-zero or non-finite vector")
         return cls(s / np.float32(peak))
 
     def as_buffer(self) -> AudioBuffer:
-        return AudioBuffer(self.samples, RIR_RATE)
+        return self
 
 
 def load_wav(path: str | Path) -> AudioBuffer:
@@ -202,7 +193,8 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Band-limited polyphase resampling (Kaiser-windowed sinc).
 
     Output length is round(n * target / source). Identity when rates match.
-    A ratio whose filter needs more than _MAX_TAPS taps is refused unbuilt.
+    A ratio whose filter needs more than _MAX_TAPS taps is refused unbuilt,
+    and so is an input too short to give one output sample.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be > 0, got {target_rate}")
@@ -215,10 +207,13 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     if n_taps > _MAX_TAPS:
         raise ValueError(f"resampling {src} Hz to {target_rate} Hz needs a "
                          f"{n_taps}-tap filter, more than the {_MAX_TAPS} allowed")
+    n = buffer.samples.size
+    n_out = int(np.floor(n * target_rate / src + 0.5))
+    if n_out == 0:
+        raise ValueError(f"{n} samples at {src} Hz give no sample at {target_rate} Hz")
+    # resample_poly gives ceil(n * up / down) samples, never fewer than n_out
     y = resample_poly(buffer.samples.astype(np.float64), up, down,
                       window=_sinc_taps(up, down))
-    # resample_poly gives ceil(n * up / down) samples, never fewer than n_out
-    n_out = int(np.floor(buffer.samples.size * target_rate / src + 0.5))
     return AudioBuffer(y[:n_out].astype(np.float32), int(target_rate))
 
 
@@ -254,15 +249,23 @@ def to_rir(buffer: AudioBuffer) -> Rir:
     n = _rir_prefix(buffer.sample_rate)
     if len(buffer) > n:
         buffer = AudioBuffer(buffer.samples[:n], buffer.sample_rate)
-    s = resample(buffer, RIR_RATE).samples
-    if s.size >= RIR_LENGTH:
-        s = s[:RIR_LENGTH]
-    else:
+    s = resample(buffer, RIR_RATE).samples[:RIR_LENGTH]
+    if s.size < RIR_LENGTH:
         s = np.concatenate([s, np.zeros(RIR_LENGTH - s.size, dtype=np.float32)])
     return Rir.from_samples(s)
 
 
-def convolve(x: AudioBuffer, h: AudioBuffer | Rir) -> AudioBuffer:
+def load_rir(path: str | Path) -> Rir:
+    """to_rir(load_wav(path)), whose errors name the file once: load_wav's and
+    the OS's already do, and a ValueError from to_rir is prefixed with it."""
+    buffer = load_wav(path)
+    try:
+        return to_rir(buffer)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def convolve(x: AudioBuffer, h: AudioBuffer) -> AudioBuffer:
     """Full linear convolution via one float64 real FFT.
 
     The FFT length is scipy's next_fast_len of the result length (a 5-smooth
@@ -270,13 +273,11 @@ def convolve(x: AudioBuffer, h: AudioBuffer | Rir) -> AudioBuffer:
     it). Result length is len(x) + len(h) - 1 and matches direct summation to
     floating-point accuracy. Sample rates must agree.
     """
-    h_rate = h.sample_rate
-    if x.sample_rate != h_rate:
-        raise ValueError(
-            f"sample-rate mismatch: {x.sample_rate} vs {h_rate}; resample first"
-        )
+    if x.sample_rate != h.sample_rate:
+        raise ValueError(f"sample-rate mismatch: {x.sample_rate} vs {h.sample_rate}; "
+                         "resample first")
     xs = x.samples.astype(np.float64)
-    hs = np.asarray(h.samples, dtype=np.float64)
+    hs = h.samples.astype(np.float64)
     n = xs.size + hs.size - 1
     nfft = next_fast_len(n, real=True)
     y = np.fft.irfft(np.fft.rfft(xs, nfft) * np.fft.rfft(hs, nfft), nfft)[:n]

@@ -16,6 +16,7 @@ names its output WAV, so it must be a bare file name, unique in the manifest.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ._fields import check_fields, parse_json, read_text
-from .audio import AudioBuffer, RIR_RATE, Rir, convolve, load_wav, resample, save_wav
+from .audio import AudioBuffer, RIR_RATE, convolve, load_rir, load_wav, resample, save_wav
 from .corpus import RirPool, _map
 
 log = logging.getLogger(__name__)
@@ -120,7 +121,7 @@ def compute_alpha(reverberant: AudioBuffer, noise_segment: AudioBuffer,
     return float(np.sqrt(p_s / (snr * p_n)))
 
 
-def mix(clean: AudioBuffer, rir: Rir | AudioBuffer, noise: AudioBuffer,
+def mix(clean: AudioBuffer, rir: AudioBuffer, noise: AudioBuffer,
         snr: float, k: int, alpha_override: float | None = None
         ) -> tuple[AudioBuffer, MixRecord]:
     """One far-field utterance: reverberate, then add scaled looped noise.
@@ -188,8 +189,12 @@ def _utt_rng(global_seed: int, utt_id: str) -> np.random.Generator:
 
 
 def _load_at_rir_rate(path: str) -> AudioBuffer:
+    """A WAV at RIR_RATE; a resampling ValueError is prefixed with the path."""
     buf = load_wav(path)
-    return resample(buf, RIR_RATE) if buf.sample_rate != RIR_RATE else buf
+    try:
+        return resample(buf, RIR_RATE) if buf.sample_rate != RIR_RATE else buf
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def augment_corpus(
@@ -208,12 +213,10 @@ def augment_corpus(
     as (utt_id, error)). Also writes the output WAVs and manifest.jsonl into
     out_dir.
     """
-    from .audio import to_rir
-
     if len(rir_pool.entries) == 0 or len(noise_pool.entries) == 0:
         raise ValueError("rir and noise pools must be non-empty")
     for kind, pool in (("rir", rir_pool), ("noise", noise_pool)):
-        paths: dict[str, str] = {}  # the caches below are keyed by id
+        paths: dict[str, str] = {}  # the manifest records ids, so one id is one file
         for e in pool.entries:
             if paths.setdefault(e.id, e.path) != e.path:
                 raise ValueError(f"{kind} pool id {e.id!r} names two files: "
@@ -225,8 +228,8 @@ def augment_corpus(
     # 65536 points and more for longer utterances (~38 MB or more over the
     # ~72 RIRs a 128-utterance call draws), too much memory for one FFT saved
     # per mix
-    rir_cache: dict[str, Rir] = {}
-    noise_cache: dict[str, AudioBuffer] = {}
+    rir_at = functools.cache(load_rir)
+    noise_at = functools.cache(_load_at_rir_rate)
     id_counts = Counter(utt_id for utt_id, _ in clean_manifest)
 
     def one(item: tuple[str, str]) -> MixRecord:
@@ -243,12 +246,8 @@ def augment_corpus(
         linear_snr = _linear_snr(snr) if spec.snr_in_db else snr
 
         clean = _load_at_rir_rate(clean_path)
-        if rir_entry.id not in rir_cache:
-            rir_cache[rir_entry.id] = to_rir(load_wav(rir_entry.path))
-        rir = rir_cache[rir_entry.id]
-        if noise_entry.id not in noise_cache:
-            noise_cache[noise_entry.id] = _load_at_rir_rate(noise_entry.path)
-        noise = noise_cache[noise_entry.id]
+        rir = rir_at(rir_entry.path)
+        noise = noise_at(noise_entry.path)
         k = int(rng.integers(len(noise)))
 
         mixed, rec = mix(clean, rir, noise, linear_snr, k)

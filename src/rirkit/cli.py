@@ -18,7 +18,7 @@ import numpy as np
 
 from . import acoustics, augment, corpus, sampler
 from ._fields import parse_json, read_text
-from .audio import load_wav, save_wav, to_rir
+from .audio import load_rir, save_wav
 from .gan import TrainConfig, TrainingDivergedError, load_checkpoint, train
 
 
@@ -93,16 +93,19 @@ def _from_config(cls, cfg: dict, path: Path | None, seed: int | None):
 
 def _cmd_analyze(args) -> int:
     rows, failures = [], []
-    for path in args.rirs:
+    for path in args.rirs:  # per-RIR isolation; each failure names its file once
+        named = ""  # load_rir's errors already name the file
         try:
-            rows.append((path.stem, acoustics.analyze(to_rir(load_wav(path)))))
-        except (OSError, ValueError) as exc:  # per-RIR isolation
-            failures.append((path, exc))
+            rir = load_rir(path)
+            named = f"{path}: "
+            rows.append((path.stem, acoustics.analyze(rir)))
+        except (OSError, ValueError) as exc:
+            failures.append(f"{named}{exc}")
     for rid, p in rows:
         print(f"{rid}: t60={p.t60:.3f}s drr={p.drr:.2f}dB edt={p.edt:.3f}s "
               f"cte={p.cte:.2f}dB")
-    for path, exc in failures:
-        print(f"failed {path}: {exc}", file=sys.stderr)
+    for message in failures:
+        print(f"failed {message}", file=sys.stderr)
     if args.csv:
         acoustics.write_params_csv(args.csv, rows)
         print(f"wrote {args.csv}")
@@ -120,13 +123,7 @@ def _cmd_train(args) -> int:
         raise ValueError(f"{args.config}: train config needs a pool")
     pool = corpus.read_pool_csv(cfg.pop("pool"))
     config = _from_config(TrainConfig, cfg, args.config, args.seed)
-    dataset = []
-    for e in pool.entries:
-        buffer = load_wav(e.path)  # load_wav's errors name the file
-        try:
-            dataset.append(to_rir(buffer))
-        except ValueError as exc:
-            raise ValueError(f"{e.path}: {exc}") from exc
+    dataset = [load_rir(e.path) for e in pool.entries]
     result = train(dataset, config, out_dir=args.out_dir)
     last = result.log[-1]
     print(f"trained {config.steps} generator steps "
@@ -149,7 +146,7 @@ def _cmd_generate(args) -> int:
         exc.report.to_csv(args.out_dir / "generation_report.csv")
         return 2
     for i, rir in enumerate(rirs):
-        save_wav(rir.as_buffer(), args.out_dir / f"rir_{i:04d}.wav")
+        save_wav(rir, args.out_dir / f"rir_{i:04d}.wav")
     report.to_csv(args.out_dir / "generation_report.csv")
     print(f"generated {len(rirs)} RIRs in {report.tries} tries "
           f"({report.rejected} rejections); wrote {args.out_dir}")

@@ -109,7 +109,7 @@ def _map(fn, items, threads: int) -> list:
 def validate_pool(pool: RirPool, load: bool = True, threads: int = 1) -> ValidationReport:
     """Check id uniqueness, file existence, and (optionally) loadability as a
     canonical RIR. Non-fatal: everything lands in the findings list."""
-    from .audio import load_wav, to_rir
+    from .audio import load_rir
 
     report = ValidationReport(checked=len(pool), source_counts=pool.source_counts())
     seen: set[str] = set()
@@ -124,7 +124,7 @@ def validate_pool(pool: RirPool, load: bool = True, threads: int = 1) -> Validat
             return (e.id, f"missing file: {e.path}")
         if load:
             try:
-                to_rir(load_wav(p))
+                load_rir(p)
             except Exception as exc:
                 return (e.id, f"not loadable as RIR: {exc}")
         return None

@@ -10,7 +10,7 @@ of at most a mebibyte (or one row, if a row is larger), so a load peaks at
 the model plus one bounded read buffer; saving writes the same blocks. A
 load refuses a header whose manifest differs from the one that d builds,
 whose d is too large to build, or whose latent distribution or shuffle
-radius that model cannot use, so a checkpoint either restores every tensor
+radius is missing or unusable, so a checkpoint either restores every tensor
 or does not load.
 """
 
@@ -83,11 +83,10 @@ def load_checkpoint(path: str | Path):
             raise CheckpointError(f"{path}: corrupt header") from exc
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: corrupt header")
-        d, step, seed = (header.get(key) for key in ("d", "step", "seed"))
+        d, step, seed, latent_dist, radius = (header.get(key) for key in (
+            "d", "step", "seed", "latent_dist", "shuffle_radius"))
         if not all(type(v) is int for v in (d, step, seed)) or d < 1:
             raise CheckpointError(f"{path}: header needs integers d >= 1, step and seed")
-        latent_dist = header.get("latent_dist", "uniform")
-        radius = header.get("shuffle_radius", 2)
         if latent_dist not in LATENT_DISTS:
             raise CheckpointError(f"{path}: unknown latent distribution {latent_dist!r}")
         if type(radius) is not int or radius < 0:

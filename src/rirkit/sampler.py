@@ -36,6 +36,8 @@ class GenerationStalledError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """generate_constrained ignores bins_per_param: the histograms fix the bins."""
+
     bins_per_param: int = 30
     relax_prob: float = 0.05
     max_tries_per_sample: int = 200

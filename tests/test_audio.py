@@ -16,6 +16,7 @@ from rirkit.audio import (
     UnsupportedEncodingError,
     WavFormatError,
     convolve,
+    load_rir,
     load_wav,
     resample,
     save_wav,
@@ -214,9 +215,12 @@ class TestResample:
                            (48000, 1), (88200, 1), (96000, 1), (12345, 20), (44101, 20)]:
             for n in range(1, 400, step):
                 n_out = int(np.floor(n * 16000 / rate + 0.5))
-                if n_out == 0:
-                    continue  # nothing to keep, and a buffer cannot be empty
                 buf = AudioBuffer(np.full(n, 0.1, dtype=np.float32), rate)
+                if n_out == 0:  # nothing to keep, and a buffer cannot be empty
+                    with pytest.raises(ValueError, match=f"^{n} samples at {rate} Hz "
+                                                         "give no sample at 16000 Hz$"):
+                        resample(buf, 16000)
+                    continue
                 assert len(resample(buf, 16000)) == n_out, (rate, n)
 
     @pytest.mark.parametrize("rate", [65537, 4294967291])
@@ -427,6 +431,39 @@ class TestConvolve:
         b = convolve(h, x).samples
         scale = max(np.max(np.abs(a)), 1e-9)
         assert np.max(np.abs(a - b)) <= 1e-6 * scale
+
+
+class TestRirIsAudioBuffer:
+    def test_from_samples_gives_an_audio_buffer(self):
+        rir = Rir.from_samples(np.linspace(1.0, 0.1, RIR_LENGTH).astype(np.float32))
+        assert isinstance(rir, AudioBuffer)
+        assert rir.sample_rate == RIR_RATE and rir.as_buffer() is rir
+
+    def test_rate_is_not_a_constructor_argument(self):
+        s = np.zeros(RIR_LENGTH, dtype=np.float32)
+        s[0] = 1.0
+        with pytest.raises(TypeError):
+            Rir(s, 8000)
+
+    def test_saved_like_its_buffer(self, tmp_path):
+        rir = Rir.from_samples(np.linspace(1.0, 0.1, RIR_LENGTH).astype(np.float32))
+        save_wav(rir, tmp_path / "rir.wav")
+        save_wav(rir.as_buffer(), tmp_path / "buffer.wav")
+        assert (tmp_path / "rir.wav").read_bytes() == (tmp_path / "buffer.wav").read_bytes()
+
+    @pytest.mark.parametrize("rate", [16000, 44100, 48000])
+    def test_load_rir_is_to_rir_of_load_wav(self, tmp_path, rate):
+        rng = np.random.default_rng(rate)
+        p = tmp_path / "r.wav"
+        save_wav(AudioBuffer(rng.uniform(-0.5, 0.5, rate).astype(np.float32), rate), p)
+        assert load_rir(p).samples.tobytes() == to_rir(load_wav(p)).samples.tobytes()
+
+    def test_load_rir_names_the_file_once(self, tmp_path):
+        p = tmp_path / "zero.wav"
+        save_wav(AudioBuffer(np.zeros(64, dtype=np.float32), 16000), p)
+        with pytest.raises(ValueError, match="cannot normalize") as err:
+            load_rir(p)
+        assert str(err.value).startswith(f"{p}: ") and str(err.value).count(str(p)) == 1
 
 
 class TestInvariants:

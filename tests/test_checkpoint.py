@@ -102,11 +102,16 @@ def test_bad_integer_fields_refused(saved, key, value):
 
 @pytest.mark.parametrize("key, value", [("latent_dist", "cauchy"),
                                         ("shuffle_radius", -3),
-                                        ("shuffle_radius", "two")])
+                                        ("shuffle_radius", "two"),
+                                        ("latent_dist", None),
+                                        ("shuffle_radius", None)])
 def test_unusable_model_fields_refused(saved, key, value):
     _, path = saved
     header, body = split(path)
-    header[key] = value
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
     join(path, header, body)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)

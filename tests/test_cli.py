@@ -178,6 +178,59 @@ def test_analyze_reports_failed_rirs_and_carries_on(workspace, tmp_path, capsys)
     assert len(rows) == 2 and rows[1].startswith("rir_0,")
 
 
+def _one_sample_48k_wav(tmp):
+    """Too short to give one sample at 16 kHz."""
+    path = tmp / "one_sample.wav"
+    save_wav(AudioBuffer(np.float32([0.5]), 48000), path)
+    return path
+
+
+def _not_riff(tmp):
+    path = tmp / "not_riff.wav"
+    path.write_bytes(b"not a wav at all")
+    return path
+
+
+BAD_RIR_FILES = {
+    "all zeros": _zeros_wav,
+    "not RIFF": _not_riff,
+    "one sample at 48 kHz": _one_sample_48k_wav,
+    "missing": lambda tmp: tmp / "missing.wav",
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RIR_FILES))
+def test_bad_rir_file_named_once_by_every_reader(workspace, tmp_path, capsys, case):
+    """analyze, train, validate and augment read RIR files through one reader,
+    and each failure line they print names the bad file exactly once."""
+    bad = str(BAD_RIR_FILES[case](tmp_path))
+    pool = _pool(tmp_path, f"r1,S,{bad}\n")
+
+    def lines(argv, rc):
+        assert main(["--out-dir", str(tmp_path / "out"), *argv]) == rc
+        out, err = capsys.readouterr()
+        return out.splitlines(), err.splitlines()
+
+    _, err = lines(["analyze", bad], 1)
+    assert len(err) == 1 and err[0].startswith("failed ")
+
+    _, train_err = lines(["train", "--config", _config(tmp_path, {"pool": pool, "steps": 1})], 2)
+    assert len(train_err) == 1 and train_err[0].startswith("error: ")
+    err += train_err
+
+    out, _ = lines(["validate", "--pool", pool], 1)
+    err += [line for line in out if line.startswith("  r1: ")]
+
+    _, aug_err = lines(["augment", "--clean", str(workspace / "clean.csv"), "--rirs", pool,
+                        "--noise", str(workspace / "noise.csv")], 1)
+    assert len(aug_err) == 3 and all(line.startswith("failed utt") for line in aug_err)
+    err += aug_err
+
+    assert len(err) == 6
+    for line in err:
+        assert line.count(bad) == 1, line
+
+
 def _file(tmp, name, data):
     path = tmp / name
     if isinstance(data, bytes):
@@ -294,7 +347,8 @@ BAD_INPUTS = {
         "-n", "1"],
     "checkpoint d too large to build": lambda ws, tmp: [
         "generate", "--model",
-        _header(tmp, json.dumps({"d": 100000, "step": 0, "seed": 0, "params": []}).encode()),
+        _header(tmp, json.dumps({"d": 100000, "step": 0, "seed": 0, "latent_dist": "uniform",
+                                 "shuffle_radius": 2, "params": []}).encode()),
         "--hist", _hist(ws, tmp), "-n", "1"],
     "train pool WAV at a rate past the resampler": lambda ws, tmp: [
         "train", "--config",
