@@ -1,6 +1,9 @@
 """Audio I/O, resampling, the canonical RIR representation, and FFT convolution.
 
 Everything here is a pure function over immutable inputs; no shared state.
+scipy is imported by the first resample, filter build or convolution, not
+with this module: a process that never leaves 16 kHz nor convolves never
+loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +15,6 @@ from math import gcd
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import next_fast_len
-from scipy.signal import firwin, resample_poly
 
 RIR_RATE = 16000
 RIR_LENGTH = 16384
@@ -176,6 +177,8 @@ def _sinc_taps(up: int, down: int) -> np.ndarray:
     """The Kaiser-windowed sinc low-pass that resamples by up/down: 2*half + 1
     taps, half = _SINC_ZERO_CROSSINGS * max(up, down). Built once per ratio and
     shared, so it is read-only (resample_poly copies the window it is given)."""
+    from scipy.signal import firwin
+
     m = max(up, down)
     half = _SINC_ZERO_CROSSINGS * m
     taps = firwin(2 * half + 1, 1.0 / m, window=("kaiser", _KAISER_BETA))
@@ -211,6 +214,8 @@ def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
     n_out = int(np.floor(n * target_rate / src + 0.5))
     if n_out == 0:
         raise ValueError(f"{n} samples at {src} Hz give no sample at {target_rate} Hz")
+    from scipy.signal import resample_poly
+
     # resample_poly gives ceil(n * up / down) samples, never fewer than n_out
     y = resample_poly(buffer.samples.astype(np.float64), up, down,
                       window=_sinc_taps(up, down))
@@ -276,6 +281,8 @@ def convolve(x: AudioBuffer, h: AudioBuffer) -> AudioBuffer:
     if x.sample_rate != h.sample_rate:
         raise ValueError(f"sample-rate mismatch: {x.sample_rate} vs {h.sample_rate}; "
                          "resample first")
+    from scipy.fft import next_fast_len
+
     xs = x.samples.astype(np.float64)
     hs = h.samples.astype(np.float64)
     n = xs.size + hs.size - 1

@@ -14,8 +14,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import acoustics, augment, corpus, sampler
 from ._fields import parse_json, read_text
 from .audio import load_rir, save_wav
@@ -134,10 +132,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    model = load_checkpoint(args.model)
+    # the small inputs first, so a bad one is refused before the model is read;
+    # generation never runs the critic, so its blobs are skipped
     hists = sampler.load_histograms(args.hist)
     config = _from_config(sampler.SamplerConfig, _load_json(args.config), args.config,
                           args.seed)
+    model = load_checkpoint(args.model, critic=False)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         rirs, report = sampler.generate_constrained(model, hists, args.n, config)

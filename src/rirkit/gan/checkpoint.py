@@ -11,7 +11,8 @@ the model plus one bounded read buffer; saving writes the same blocks. A
 load refuses a header whose manifest differs from the one that d builds,
 whose d is too large to build, or whose latent distribution or shuffle
 radius is missing or unusable, so a checkpoint either restores every tensor
-or does not load.
+or does not load. A generator-only load (critic=False) makes every one of
+those checks too, but seeks past the critic's blobs instead of reading them.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .._fields import parse_json
 
 MAGIC = b"IRGAN01"
 _BLOCK_BYTES = 1 << 20  # one read or write block, unless a single row is larger
+_NO_BYTES = np.dtype([])  # zero-byte records: a net built of them has shapes, no storage
 
 
 class CheckpointError(ValueError):
@@ -49,6 +51,8 @@ def _blocks(arr: np.ndarray) -> list[slice]:
 
 
 def save_checkpoint(model, path: str | Path) -> None:
+    if model.critic is None:
+        raise ValueError("cannot save a model without a critic (a generator-only load)")
     tensors = _tensors(model)
     header = {
         "d": model.d,
@@ -68,7 +72,13 @@ def save_checkpoint(model, path: str | Path) -> None:
                 f.write(np.ascontiguousarray(arr[rows], dtype="<f4"))
 
 
-def load_checkpoint(path: str | Path):
+def load_checkpoint(path: str | Path, critic: bool = True):
+    """The model a checkpoint holds, every tensor restored, or CheckpointError.
+
+    With critic=False the header, the manifest (the critic's entries too) and
+    the file size are checked as in a full load, but the critic's blobs are
+    skipped unread and the model's critic is None.
+    """
     from .nets import LATENT_DISTS, Critic, GanModel, Generator
 
     with open(path, "rb") as f:
@@ -92,25 +102,32 @@ def load_checkpoint(path: str | Path):
         if type(radius) is not int or radius < 0:
             raise CheckpointError(f"{path}: shuffle radius must be an integer >= 0")
 
-        try:  # zero weights, filled in place below
-            model = GanModel(Generator(d), Critic(d, shuffle_radius=radius), d=d,
-                             step=step, seed=seed, latent_dist=latent_dist)
+        try:  # zero weights, filled in place below; a skipped critic holds no bytes
+            model = GanModel(Generator(d), Critic(d, shuffle_radius=radius,
+                                                  dtype=np.float32 if critic else _NO_BYTES),
+                             d=d, step=step, seed=seed, latent_dist=latent_dist)
         except MemoryError:
             raise CheckpointError(f"{path}: no memory for a d={d} model") from None
         tensors = _tensors(model)
         if header.get("params") != [entry for entry, _ in tensors]:
             raise CheckpointError(f"{path}: parameter manifest differs from a d={d} model's")
+        read = [(entry, arr) for entry, arr in tensors if critic or entry["role"] == "generator"]
         # conv weights are transposed views of their storage, so blocks land
         # in this buffer first and are then copied into place
-        buf = np.empty(max((arr[rows].size for _, arr in tensors for rows in _blocks(arr)),
+        buf = np.empty(max((arr[rows].size for _, arr in read for rows in _blocks(arr)),
                            default=0), "<f4")
-        for entry, arr in tensors:
+        for entry, arr in read:
             for rows in _blocks(arr):
                 part = arr[rows]
                 block = buf[: part.size].reshape(part.shape)
                 if f.readinto(block) != block.nbytes:
                     raise CheckpointError(f"{path}: truncated weight blob for {entry}")
                 part[...] = block
+        for entry, arr in tensors[len(read):]:  # a skipped critic, last in the file
+            if f.seek(4 * arr.size, os.SEEK_CUR) > size:
+                raise CheckpointError(f"{path}: truncated weight blob for {entry}")
         if f.tell() != size:
             raise CheckpointError(f"{path}: {size - f.tell()} trailing bytes")
+    if not critic:
+        model.critic = None
     return model

@@ -172,10 +172,12 @@ class Critic(_Net):
 
 @dataclass
 class GanModel:
-    """A checkpointable generator/critic pair plus the settings that built it."""
+    """A checkpointable generator/critic pair plus the settings that built it.
+    critic is None after a generator-only load (load_checkpoint(path,
+    critic=False)); such a model generates but cannot be saved."""
 
     generator: Generator
-    critic: Critic
+    critic: Critic | None
     d: int
     step: int
     seed: int

@@ -2,6 +2,7 @@
 its header describes, or it raises CheckpointError."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -151,5 +152,101 @@ def test_header_byte_replaced(d1_file, where, value):
     path.write_bytes(bytes(mutated))
     try:
         load_checkpoint(path)
+    except CheckpointError:
+        pass
+
+
+# generator-only loads: the same checks, the critic's blobs skipped unread
+
+def test_generator_only_load_restores_the_generator(saved):
+    model, path = saved
+    loaded = load_checkpoint(path, critic=False)
+    assert loaded.critic is None
+    assert (loaded.d, loaded.step, loaded.seed) == (1, 3, 4)
+    for a, b in zip(model.generator.param_arrays(), loaded.generator.param_arrays()):
+        np.testing.assert_array_equal(a, b)
+
+
+def _set(key, value):
+    def edit(header, body):
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        return header, body
+    return edit
+
+
+def _manifest(change):
+    def edit(header, body):
+        header["params"] = change(header["params"])
+        return header, body
+    return edit
+
+
+def _partial(header, body):
+    first = header["params"][0]
+    header["params"] = [first]
+    return header, body[: 4 * int(np.prod(first["shape"]))]
+
+
+# every header and manifest refusal of the tests above (which load with the
+# critic), as (header, body) edits
+HEADER_REFUSALS = {
+    "partial manifest": _partial,
+    **{f"manifest {change.__name__}": _manifest(change)
+       for change in (_drop_last, _extra, _reorder, _wrong_shape)},
+    **{f"{key}={value!r}": _set(key, value)
+       for key in ("d", "step", "seed") for value in (None, "1", 1.5, True)},
+    **{f"{key}={value!r}": _set(key, value)
+       for key, value in (("latent_dist", "cauchy"), ("shuffle_radius", -3),
+                          ("shuffle_radius", "two"), ("latent_dist", None),
+                          ("shuffle_radius", None))},
+}
+
+
+@pytest.mark.parametrize("case", list(HEADER_REFUSALS))
+def test_generator_only_load_makes_every_header_check(saved, case):
+    _, path = saved
+    join(path, *HEADER_REFUSALS[case](*split(path)))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path, critic=False)
+
+
+@pytest.mark.parametrize("critic", [True, False])
+def test_cut_inside_the_critics_last_blob_refused_by_name(saved, critic):
+    _, path = saved
+    header, _ = split(path)
+    last = header["params"][-1]
+    assert (last["role"], last["layer"], last["param"]) == ("critic", "dense", "b")
+    assert last["shape"] == [1]  # 4 bytes: a 2-byte cut lands inside it
+    path.write_bytes(path.read_bytes()[:-2])
+    with pytest.raises(CheckpointError, match=re.escape(f"truncated weight blob for {last}")):
+        load_checkpoint(path, critic=critic)
+
+
+def test_generator_only_load_refuses_trailing_bytes(saved):
+    _, path = saved
+    path.write_bytes(path.read_bytes() + b"\0\0")
+    with pytest.raises(CheckpointError, match="2 trailing bytes"):
+        load_checkpoint(path, critic=False)
+
+
+def test_generator_only_model_cannot_be_saved(saved, tmp_path):
+    _, path = saved
+    with pytest.raises(ValueError, match="without a critic"):
+        save_checkpoint(load_checkpoint(path, critic=False), tmp_path / "again.gan")
+    assert not (tmp_path / "again.gan").exists()
+
+
+@settings(max_examples=100, deadline=None)
+@given(where=st.floats(0.0, 1.0, exclude_max=True), value=st.integers(0, 255))
+def test_header_byte_replaced_generator_only(d1_file, where, value):
+    path, data, header_end = d1_file
+    mutated = bytearray(data)
+    mutated[int(where * header_end)] = value
+    path.write_bytes(bytes(mutated))
+    try:
+        load_checkpoint(path, critic=False)
     except CheckpointError:
         pass

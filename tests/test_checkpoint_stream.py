@@ -91,3 +91,21 @@ def test_save_load_save_is_byte_identical(d16, tmp_path):
     again = tmp_path / "again.gan"
     save_checkpoint(load_checkpoint(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_generator_only_load_peaks_at_generator_plus_one_block(d16):
+    model, path = d16
+    generator_bytes = sum(a.nbytes for a in model.generator.param_arrays())  # 6.0 MB at d=16
+    critic_bytes = sum(a.nbytes for a in model.critic.param_arrays())  # 4.4 MB
+    assert critic_bytes > _BLOCK_BYTES + 256 * 1024  # reading the critic would show
+    load_checkpoint(path, critic=False)  # imports and one-time caches stay outside the trace
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path, critic=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= generator_bytes + _BLOCK_BYTES + 256 * 1024
+    assert loaded.critic is None
+    for a, b in zip(model.generator.param_arrays(), loaded.generator.param_arrays()):
+        np.testing.assert_array_equal(a, b)

@@ -13,13 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rirkit.audio import AudioBuffer, load_wav, save_wav
+from rirkit import acoustics, cli
+from rirkit.audio import AudioBuffer, Rir, load_wav, save_wav
 from rirkit.augment import AugmentSpec
 from rirkit.cli import main
 from rirkit.corpus import PoolEntry, RirPool, write_pool_csv
-from rirkit.gan import Critic, GanModel, Generator, TrainConfig, save_checkpoint
+from rirkit.gan import Critic, GanModel, Generator, TrainConfig, load_checkpoint, save_checkpoint
 from rirkit.gan.checkpoint import MAGIC
-from rirkit.sampler import SamplerConfig
+from rirkit.sampler import (SamplerConfig, build_histograms, generate_constrained,
+                            load_histograms, save_histograms)
 
 from conftest import noise_rir
 
@@ -597,3 +599,46 @@ def test_fuzz_histogram_json_through_generate(generate_inputs, data):
     assert rc == 2 and not written
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {hist}: ")
+
+
+@pytest.mark.parametrize("input_file", ["hist", "config"])
+def test_generate_refuses_bad_hist_or_config_before_reading_the_model(
+        workspace, tmp_path, capsys, monkeypatch, input_file):
+    def no_model(*args, **kwargs):
+        raise AssertionError("load_checkpoint called before the small inputs were checked")
+
+    monkeypatch.setattr(cli, "load_checkpoint", no_model)
+    hist = (_config(tmp_path, {"params": {}}) if input_file == "hist"
+            else _hist(workspace, tmp_path))
+    argv = ["--out-dir", str(tmp_path / "out"), "generate", "--model", str(tmp_path / "x.gan"),
+            "--hist", hist, "-n", "1"]
+    if input_file == "config":
+        argv += ["--config", _file(tmp_path, "sampler.json", '{"relax_prob": "high"}')]
+    assert main(argv) == 2
+    bad = hist if input_file == "hist" else str(tmp_path / "sampler.json")
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {bad}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_writes_the_bytes_of_a_full_load(tmp_path, monkeypatch):
+    loads = []
+    monkeypatch.setattr(cli, "load_checkpoint",
+                        lambda path, **kw: loads.append(kw) or load_checkpoint(path, **kw))
+    # a random d=1 generator and histograms of its own outputs, so tries are accepted
+    model = GanModel(Generator(1, rng=np.random.default_rng(3)),
+                     Critic(1, rng=np.random.default_rng(4)), d=1, step=0, seed=0)
+    ckpt, hist = tmp_path / "model.gan", tmp_path / "hists.json"
+    save_checkpoint(model, ckpt)
+    waves = model.generator.forward(np.random.default_rng(5).uniform(-1, 1, (32, 100)))
+    params = [acoustics.analyze(Rir.from_samples(w)) for w in waves]
+    save_histograms(build_histograms(params, SamplerConfig()), hist)
+    assert main(["--seed", "6", "--out-dir", str(tmp_path / "gen"), "generate",
+                 "--model", str(ckpt), "--hist", str(hist), "-n", "2"]) == 0
+    assert loads == [{"critic": False}]  # the critic's blobs were skipped
+    rirs, _ = generate_constrained(load_checkpoint(ckpt), load_histograms(hist), 2,
+                                   SamplerConfig(rng_seed=6))
+    for i, rir in enumerate(rirs):
+        save_wav(rir, tmp_path / f"ref_{i}.wav")
+        assert ((tmp_path / "gen" / f"rir_{i:04d}.wav").read_bytes()
+                == (tmp_path / f"ref_{i}.wav").read_bytes())
