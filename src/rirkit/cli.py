@@ -90,6 +90,8 @@ def _from_config(cls, cfg: dict, path: Path | None, seed: int | None):
 
 
 def _cmd_analyze(args) -> int:
+    if args.hist and args.bins < 2:  # refused before any RIR is read
+        raise ValueError(f"--bins must be >= 2, got {args.bins}")
     rows, failures = [], []
     for path in args.rirs:  # per-RIR isolation; each failure names its file once
         named = ""  # load_rir's errors already name the file
@@ -192,7 +194,10 @@ def _cmd_compose(args) -> int:
         path, _, count = item.rpartition(":")
         if not path or not count.strip().isdigit():
             raise ValueError(f"--pool needs CSV:COUNT, got {item!r}")
-        parts.append((corpus.read_pool_csv(path), int(count)))
+        pool, count = corpus.read_pool_csv(path), int(count)
+        if count > len(pool):
+            raise ValueError(f"{path}: requested {count} entries from a pool of {len(pool)}")
+        parts.append((pool, count))
     seed = args.seed if args.seed is not None else 0
     composed = corpus.compose_pool(parts, rng_seed=seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,5 @@
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .nets import (
-    LATENT_DIM,
-    OUTPUT_LENGTH,
-    Critic,
-    GanModel,
-    Generator,
-    sample_latent,
-)
+from .nets import LATENT_DIM, Critic, GanModel, Generator, sample_latent
 from .training import (
     LogRow,
     RMSProp,
@@ -22,7 +15,6 @@ from .training import (
 
 __all__ = [
     "LATENT_DIM",
-    "OUTPUT_LENGTH",
     "CheckpointError",
     "Critic",
     "GanModel",

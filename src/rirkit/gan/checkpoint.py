@@ -3,21 +3,22 @@
 Layout: magic bytes "IRGAN01", a little-endian uint32 header length, a JSON
 header (d, step, seed, latent distribution, shuffle radius, and the ordered
 parameter manifest with shapes), then raw little-endian float32 weight blobs
-in manifest order (generator first, then critic). Loading builds a float32
-model with zero weights (no random initialisation) and reads each blob into
+in manifest order (generator first, then critic). A load checks the header,
+then compares the manifest and the file size with the layout d implies, taken
+from nets of zero-byte tensors, so a refused checkpoint allocates no weights
+and an accepted one restores every tensor. Only then does it build a float32
+model with zero weights (no random initialisation) and read each blob into
 its tensor in place, in blocks of leading-axis rows through one reused buffer
 of at most a mebibyte (or one row, if a row is larger), so a load peaks at
 the model plus one bounded read buffer; saving writes the same blocks. A
-load refuses a header whose manifest differs from the one that d builds,
-whose d is too large to build, or whose latent distribution or shuffle
-radius is missing or unusable, so a checkpoint either restores every tensor
-or does not load. A generator-only load (critic=False) makes every one of
-those checks too, but seeks past the critic's blobs instead of reading them.
+generator-only load (critic=False) makes the same checks, but builds no
+critic and leaves its blobs unread.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -36,10 +37,12 @@ class CheckpointError(ValueError):
 
 
 def _tensors(model) -> list[tuple[dict, np.ndarray]]:
-    """(manifest entry, live array) for every tensor, in checkpoint order."""
+    """(manifest entry, live array) for every tensor, in checkpoint order; a
+    None critic (a generator-only load) holds none."""
     return [({"role": role, "layer": layer_name, "param": param_name,
               "shape": list(arr.shape)}, arr)
             for role, net in (("generator", model.generator), ("critic", model.critic))
+            if net is not None
             for layer_name, param_name, arr in net.named_params()]
 
 
@@ -77,7 +80,7 @@ def load_checkpoint(path: str | Path, critic: bool = True):
 
     With critic=False the header, the manifest (the critic's entries too) and
     the file size are checked as in a full load, but the critic's blobs are
-    skipped unread and the model's critic is None.
+    left unread and the model's critic is None.
     """
     from .nets import LATENT_DISTS, Critic, GanModel, Generator
 
@@ -102,32 +105,37 @@ def load_checkpoint(path: str | Path, critic: bool = True):
         if type(radius) is not int or radius < 0:
             raise CheckpointError(f"{path}: shuffle radius must be an integer >= 0")
 
-        try:  # zero weights, filled in place below; a skipped critic holds no bytes
-            model = GanModel(Generator(d), Critic(d, shuffle_radius=radius,
-                                                  dtype=np.float32 if critic else _NO_BYTES),
+        try:  # shapes only: zero-byte tensors, so nothing is allocated yet
+            layout = _tensors(GanModel(Generator(d, dtype=_NO_BYTES),
+                                       Critic(d, shuffle_radius=radius, dtype=_NO_BYTES),
+                                       d=d, step=step, seed=seed))
+        except ValueError as exc:  # numpy refuses the shapes of a huge d
+            raise CheckpointError(f"{path}: no d={d} model can be built ({exc})") from None
+        if header.get("params") != [entry for entry, _ in layout]:
+            raise CheckpointError(f"{path}: parameter manifest differs from a d={d} model's")
+        left = size - f.tell()
+        for entry, arr in layout:  # math.prod: a zero-byte array's size can overflow
+            left -= 4 * math.prod(arr.shape)
+            if left < 0:
+                raise CheckpointError(f"{path}: truncated weight blob for {entry}")
+        if left:
+            raise CheckpointError(f"{path}: {left} trailing bytes")
+
+        try:  # zero weights, filled in place below
+            model = GanModel(Generator(d), Critic(d, shuffle_radius=radius) if critic else None,
                              d=d, step=step, seed=seed, latent_dist=latent_dist)
         except MemoryError:
             raise CheckpointError(f"{path}: no memory for a d={d} model") from None
         tensors = _tensors(model)
-        if header.get("params") != [entry for entry, _ in tensors]:
-            raise CheckpointError(f"{path}: parameter manifest differs from a d={d} model's")
-        read = [(entry, arr) for entry, arr in tensors if critic or entry["role"] == "generator"]
         # conv weights are transposed views of their storage, so blocks land
         # in this buffer first and are then copied into place
-        buf = np.empty(max((arr[rows].size for _, arr in read for rows in _blocks(arr)),
-                           default=0), "<f4")
-        for entry, arr in read:
+        buf = np.empty(max(arr[rows].size for _, arr in tensors for rows in _blocks(arr)),
+                       "<f4")
+        for entry, arr in tensors:
             for rows in _blocks(arr):
                 part = arr[rows]
                 block = buf[: part.size].reshape(part.shape)
-                if f.readinto(block) != block.nbytes:
+                if f.readinto(block) != block.nbytes:  # the file shrank during the load
                     raise CheckpointError(f"{path}: truncated weight blob for {entry}")
                 part[...] = block
-        for entry, arr in tensors[len(read):]:  # a skipped critic, last in the file
-            if f.seek(4 * arr.size, os.SEEK_CUR) > size:
-                raise CheckpointError(f"{path}: truncated weight blob for {entry}")
-        if f.tell() != size:
-            raise CheckpointError(f"{path}: {size - f.tell()} trailing bytes")
-    if not critic:
-        model.critic = None
     return model

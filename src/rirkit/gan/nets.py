@@ -29,7 +29,6 @@ from .layers import (
 )
 
 LATENT_DIM = 100
-OUTPUT_LENGTH = RIR_LENGTH  # the generator writes whole canonical RIRs
 KERNEL = 25
 STRIDE = 4
 LEAKY_SLOPE = 0.2
@@ -126,7 +125,7 @@ class Generator(_Net):
     to be filled in place (as a checkpoint load does)."""
 
     n_in = LATENT_DIM
-    out_shape = (OUTPUT_LENGTH,)
+    out_shape = (RIR_LENGTH,)
 
     def __init__(self, d: int = 4, rng: np.random.Generator | None = None,
                  dtype=np.float32):
@@ -141,7 +140,7 @@ class Generator(_Net):
                 f"tconv{i + 1}",
             )
             self._add(Tanh() if i == 4 else ReLU())
-        self._add(Reshape(OUTPUT_LENGTH))
+        self._add(Reshape(RIR_LENGTH))
 
 
 class Critic(_Net):
@@ -150,7 +149,7 @@ class Critic(_Net):
     Weights are Glorot-uniform draws from rng; with rng=None they are zero,
     to be filled in place (as a checkpoint load does)."""
 
-    n_in = OUTPUT_LENGTH
+    n_in = RIR_LENGTH
     out_shape = ()
 
     def __init__(self, d: int = 4, shuffle_radius: int = 2,
@@ -158,7 +157,7 @@ class Critic(_Net):
         super().__init__(d, dtype)
         self.shuffle_radius = shuffle_radius
         widths = [1, d, 2 * d, 4 * d, 8 * d, 16 * d]
-        self._add(Reshape(OUTPUT_LENGTH, 1))
+        self._add(Reshape(RIR_LENGTH, 1))
         for i in range(5):
             self._add(Conv1d(widths[i], widths[i + 1], KERNEL, STRIDE, rng, dtype),
                       f"conv{i + 1}")

@@ -190,6 +190,11 @@ def _partial(header, body):
     return header, body[: 4 * int(np.prod(first["shape"]))]
 
 
+# d values whose float32 nets numpy cannot shape; for the larger two, not even
+# the zero-byte layout a load checks the manifest against can be built
+HUGE_D = (10**16, 10**19, 2**63)
+
+
 # every header and manifest refusal of the tests above (which load with the
 # critic), as (header, body) edits
 HEADER_REFUSALS = {
@@ -202,6 +207,7 @@ HEADER_REFUSALS = {
        for key, value in (("latent_dist", "cauchy"), ("shuffle_radius", -3),
                           ("shuffle_radius", "two"), ("latent_dist", None),
                           ("shuffle_radius", None))},
+    **{f"d={value}": _set("d", value) for value in HUGE_D},
 }
 
 
@@ -211,6 +217,15 @@ def test_generator_only_load_makes_every_header_check(saved, case):
     join(path, *HEADER_REFUSALS[case](*split(path)))
     with pytest.raises(CheckpointError):
         load_checkpoint(path, critic=False)
+
+
+@pytest.mark.parametrize("critic", [True, False])
+@pytest.mark.parametrize("d", HUGE_D)
+def test_huge_d_refused_naming_the_file(saved, d, critic):
+    _, path = saved
+    join(path, *_set("d", d)(*split(path)))
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path, critic=critic)
 
 
 @pytest.mark.parametrize("critic", [True, False])

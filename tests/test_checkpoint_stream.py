@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rirkit.gan import CheckpointError, Critic, GanModel, Generator, load_checkpoint, save_checkpoint
-from rirkit.gan.checkpoint import _BLOCK_BYTES, MAGIC, _blocks
+from rirkit.gan.checkpoint import _BLOCK_BYTES, _NO_BYTES, MAGIC, _blocks, _tensors
 
 
 def _model(d):
@@ -109,3 +109,28 @@ def test_generator_only_load_peaks_at_generator_plus_one_block(d16):
     assert loaded.critic is None
     for a, b in zip(model.generator.param_arrays(), loaded.generator.param_arrays()):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("critic", [True, False])
+def test_cut_after_the_header_refused_before_any_weight_is_built(tmp_path, critic):
+    # a d=64 header and manifest, written from zero-byte nets, then 1000 bytes
+    # of the 146 MB of blobs it announces: refused from the file size alone
+    layout = _tensors(GanModel(Generator(64, dtype=_NO_BYTES), Critic(64, dtype=_NO_BYTES),
+                               d=64, step=0, seed=0))
+    header = json.dumps({"d": 64, "step": 0, "seed": 0, "latent_dist": "uniform",
+                         "shuffle_radius": 2, "params": [entry for entry, _ in layout]})
+    path = tmp_path / "cut.gan"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header.encode() + bytes(1000))
+    first = layout[0][0]
+    assert (first["role"], first["layer"], first["param"]) == ("generator", "dense", "W")
+    refusal = "truncated weight blob for " + re.escape(str(first))
+    with pytest.raises(CheckpointError, match=refusal):  # imports stay outside the trace
+        load_checkpoint(path, critic=critic)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=refusal):
+            load_checkpoint(path, critic=critic)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -331,6 +331,9 @@ BAD_INPUTS = {
     "compose count not a number": lambda ws, tmp: [
         "compose", "--pool", f"{ws / 'rirs.csv'}:x"],
     "compose without count": lambda ws, tmp: ["compose", "--pool", "5"],
+    "compose count past its pool": lambda ws, tmp: [
+        "compose", "--pool", _file(tmp, "a.csv", f"r0,S,{ws / 'rir_0.wav'}\n") + ":1",
+        "--pool", _file(tmp, "b.csv", f"r1,S,{ws / 'rir_1.wav'}\n") + ":2"],
     "train config nested too deeply": lambda ws, tmp: [
         "train", "--config", _config(tmp, _DEEP)],
     "augment spec nested too deeply": lambda ws, tmp: [
@@ -370,6 +373,7 @@ NAMED_FILE = {
     "histogram nested too deeply": "config.json",
     "checkpoint header nested too deeply": "model.gan",
     "checkpoint d too large to build": "model.gan",
+    "compose count past its pool": "b.csv",
     "train pool WAV at a rate past the resampler": "huge_rate.wav",
     "train pool WAV all zeros": "zeros.wav",
 }
@@ -385,6 +389,17 @@ def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
     assert "Traceback" not in err
     if case in NAMED_FILE:
         assert str(tmp_path / NAMED_FILE[case]) in err
+
+
+def test_analyze_bins_refused_before_any_rir_is_read(workspace, tmp_path, capsys):
+    rc = main(["analyze", str(workspace / "rir_0.wav"), str(workspace / "rir_1.wav"),
+               "--csv", str(tmp_path / "p.csv"), "--hist", str(tmp_path / "h.json"),
+               "--bins", "1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err == "error: --bins must be >= 2, got 1\n"
+    assert out == ""  # no RIR was analysed
+    assert not (tmp_path / "p.csv").exists() and not (tmp_path / "h.json").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

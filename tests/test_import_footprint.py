@@ -74,3 +74,19 @@ def test_resample_and_convolve_import_scipy(tmp_path, call, module):
         {call}
         assert {module!r} in sys.modules
     """, tmp_path)
+
+
+def test_audio_imports_no_other_rirkit_module(tmp_path):
+    # the package exports only __version__, so importing one module loads no other
+    script = textwrap.dedent(f"""
+        import sys
+        sys.path.insert(0, {SRC!r})
+        import rirkit.audio
+
+        loaded = sorted(m for m in sys.modules if m.startswith("rirkit"))
+        assert loaded == ["rirkit", "rirkit.audio"], loaded
+        assert not hasattr(sys.modules["rirkit"], "load_wav")
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
