@@ -1,5 +1,6 @@
-"""The input boundary: one type check for the fields of the config and
-record dataclasses, and one way that file bytes become text and JSON.
+"""The file boundary: one type check for the fields of the config and
+record dataclasses, one way that file bytes become text and JSON, and one way
+that tables become CSV text.
 
 ``check_fields(obj)`` raises ``TypeError("<field> must be ..., got ...")`` for
 the first field of ``obj`` whose value does not match its annotation:
@@ -12,10 +13,15 @@ are resolved once per class.
 ``read_text(path)`` decodes a file as UTF-8, whatever the locale, and
 ``parse_json(text, where)`` parses JSON; bytes that are not UTF-8 and malformed
 or too deeply nested JSON are a ``ValueError`` naming the file (and the line).
+
+``write_csv`` writes every CSV table rirkit makes: UTF-8, LF line ends,
+``# <comment>`` lines first and a row whose first field starts with ``#``
+quoted, so that each row reads back through ``corpus.read_pool_csv``.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import numbers
 import typing
@@ -79,3 +85,20 @@ def parse_json(text: str, where: object) -> object:
         raise ValueError(f"{where}: JSON nested too deeply") from exc
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
+
+
+def write_csv(path: str | Path, header: list[str], rows: typing.Iterable[typing.Sequence],
+              comments: typing.Iterable[str] = ()) -> None:
+    """Refuse a field or comment that ``str.splitlines`` would break, with a
+    ValueError naming ``path``, before the file is opened."""
+    rows, comments = [header, *rows], list(comments)
+    for value in (*comments, *(v for row in rows for v in row)):
+        if len(f"{value}.".splitlines()) > 1:  # the "." makes a trailing break count
+            raise ValueError(f"{path}: a CSV field or comment may not hold a line "
+                             f"break, got {value!r}")
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        f.writelines(f"# {c}\n" for c in comments)
+        plain, quoted = (csv.writer(f, lineterminator="\n", quoting=q)
+                         for q in (csv.QUOTE_MINIMAL, csv.QUOTE_ALL))
+        for row in rows:  # quoted, a leading "#" is not read as a comment
+            (quoted if str(row[0]).startswith("#") else plain).writerow(row)

@@ -9,13 +9,13 @@ Every input, a raw array included, is read at RIR_RATE (16 kHz).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
 import numpy as np
 
+from ._fields import write_csv
 from .audio import RIR_RATE, Rir
 
 # floor applied where the backward integral runs out of energy (log of zero)
@@ -183,10 +183,6 @@ def analyze(rir: RirLike) -> AcousticParams:
 
 def write_params_csv(path: str | Path, rows: Iterable[tuple[str, AcousticParams]]) -> None:
     """Emit `id,t60_s,drr_db,edt_s,cte_db` rows with 6 decimal places."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["id", "t60_s", "drr_db", "edt_s", "cte_db"])
-        for rid, p in rows:
-            writer.writerow(
-                [rid, f"{p.t60:.6f}", f"{p.drr:.6f}", f"{p.edt:.6f}", f"{p.cte:.6f}"]
-            )
+    write_csv(path, ["id", "t60_s", "drr_db", "edt_s", "cte_db"],
+              ([rid, f"{p.t60:.6f}", f"{p.drr:.6f}", f"{p.edt:.6f}", f"{p.cte:.6f}"]
+               for rid, p in rows))

@@ -121,7 +121,12 @@ def _cmd_train(args) -> int:
     cfg = _load_json(args.config)
     if "pool" not in cfg:
         raise ValueError(f"{args.config}: train config needs a pool")
-    pool = corpus.read_pool_csv(cfg.pop("pool"))
+    pool_path = cfg.pop("pool")
+    if not isinstance(pool_path, str) or not pool_path:
+        raise ValueError(f"{args.config}: pool must be a non-empty string, got {pool_path!r}")
+    pool = corpus.read_pool_csv(pool_path)
+    if not pool.entries:
+        raise ValueError(f"{pool_path}: pool has no entries")
     config = _from_config(TrainConfig, cfg, args.config, args.seed)
     dataset = [load_rir(e.path) for e in pool.entries]
     result = train(dataset, config, out_dir=args.out_dir)
@@ -134,6 +139,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.n < 1:  # refused before any file is read
+        raise ValueError(f"-n must be >= 1, got {args.n}")
     # the small inputs first, so a bad one is refused before the model is read;
     # generation never runs the critic, so its blobs are skipped
     hists = sampler.load_histograms(args.hist)

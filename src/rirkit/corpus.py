@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._fields import check_fields, read_text
+from ._fields import check_fields, read_text, write_csv
 
 
 @dataclass(frozen=True)
@@ -154,12 +154,7 @@ def read_pool_csv(path: str | Path) -> RirPool:
 
 def write_pool_csv(pool: RirPool, path: str | Path,
                    provenance: dict[str, object] | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        for key, value in (provenance or {}).items():
-            f.write(f"# {key}={value}\n")
-        writer = csv.writer(f)
-        keyed = any(e.strat_key for e in pool.entries)
-        writer.writerow(["id", "source", "path"] + (["strat_key"] if keyed else []))
-        for e in pool.entries:
-            row = [e.id, e.source, e.path]
-            writer.writerow(row + [e.strat_key] if keyed else row)
+    keyed = any(e.strat_key for e in pool.entries)
+    write_csv(path, ["id", "source", "path"] + ["strat_key"] * keyed,
+              ([e.id, e.source, e.path] + [e.strat_key] * keyed for e in pool.entries),
+              comments=[f"{key}={value}" for key, value in (provenance or {}).items()])

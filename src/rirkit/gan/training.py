@@ -9,14 +9,13 @@ Given a seed (and thread count), training is bit-reproducible.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .._fields import check_fields
+from .._fields import check_fields, write_csv
 from ..audio import Rir
 from .checkpoint import save_checkpoint
 from .nets import LATENT_DISTS, Critic, GanModel, Generator, sample_latent
@@ -142,22 +141,17 @@ class RMSProp:
 def _as_matrix(dataset: Sequence[Rir] | np.ndarray) -> np.ndarray:
     if isinstance(dataset, np.ndarray):
         data = dataset
-    else:
-        data = np.stack([r.samples for r in dataset])
+    else:  # np.stack would refuse an empty list with a message that names nothing
+        data = np.stack([r.samples for r in dataset]) if dataset else np.empty((0, 0))
     if data.ndim != 2 or data.shape[0] == 0:
         raise ValueError("dataset must be a non-empty collection of RIR vectors")
     return data.astype(np.float32)
 
 
 def write_log_csv(log: Sequence[LogRow], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["step", "critic_loss", "generator_loss", "wasserstein_estimate"])
-        for row in log:
-            writer.writerow(
-                [row.step, f"{row.critic_loss:.8g}", f"{row.generator_loss:.8g}",
-                 f"{row.wasserstein_estimate:.8g}"]
-            )
+    write_csv(path, ["step", "critic_loss", "generator_loss", "wasserstein_estimate"],
+              ([row.step, f"{row.critic_loss:.8g}", f"{row.generator_loss:.8g}",
+                f"{row.wasserstein_estimate:.8g}"] for row in log))
 
 
 def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fields import check_fields, parse_json, read_text
+from ._fields import check_fields, parse_json, read_text, write_csv
 from .acoustics import AcousticParams, analyze
 from .audio import Rir
 
@@ -208,13 +208,9 @@ class GenerationReport:
             self.rejections_by_param[r] += 1
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as f:
-            f.write("parameter,rejections\n")
-            for name, count in self.rejections_by_param.items():
-                f.write(f"{name},{count}\n")
-            f.write(f"accepted,{self.accepted}\n")
-            f.write(f"rejected,{self.rejected}\n")
-            f.write(f"tries,{self.tries}\n")
+        write_csv(path, ["parameter", "rejections"],
+                  [*self.rejections_by_param.items(), ("accepted", self.accepted),
+                   ("rejected", self.rejected), ("tries", self.tries)])
 
 
 def generate_constrained(model, hists: ParamHistograms, n: int,

@@ -278,6 +278,17 @@ BAD_INPUTS = {
     "config not json": lambda ws, tmp: ["train", "--config", _config(tmp, "{pool")],
     "train config without pool": lambda ws, tmp: [
         "train", "--config", _config(tmp, {"steps": 1})],
+    "train pool a number": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"pool": 5, "steps": 1})],
+    "train pool null": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"pool": None, "steps": 1})],
+    "train pool empty string": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"pool": "", "steps": 1})],
+    "train pool with no entries": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"pool": _pool(tmp, "id,source,path\n"),
+                                           "steps": 1})],
+    "generate n zero": lambda ws, tmp: [
+        "generate", "--model", _model(tmp), "--hist", _hist(ws, tmp), "-n", "0"],
     "unknown train key": lambda ws, tmp: [
         "train", "--config", _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1,
                                            "lr": 0.1})],
@@ -365,6 +376,10 @@ BAD_INPUTS = {
 
 # cases whose error line must name the file that could not be read
 NAMED_FILE = {
+    "train pool a number": "config.json",
+    "train pool null": "config.json",
+    "train pool empty string": "config.json",
+    "train pool with no entries": "pool.csv",
     "train config nested too deeply": "config.json",
     "augment spec nested too deeply": "config.json",
     "train config not UTF-8": "config.json",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rirkit.audio import save_wav
@@ -204,3 +204,49 @@ class TestPoolCsv:
         write_pool_csv(pool, p)
         back = read_pool_csv(p)
         assert [e.strat_key for e in back.entries] == ["room1", "room2"]
+
+
+# every character str.splitlines() breaks a line at, and so read_pool_csv too
+LINE_BREAKS = ["\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+               "\u2029"]
+_char = st.characters(codec="utf-8", exclude_characters=LINE_BREAKS)
+_field = st.text(_char)
+_filled = st.text(_char, min_size=1)
+
+
+class TestPoolCsvRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from(["#a", 'a,"b']) | _filled, _field,
+                                   _filled, _field), max_size=5),
+           keyed=st.booleans(),
+           provenance=st.none() | st.dictionaries(_field, _field, max_size=3))
+    def test_written_pool_reads_back_equal(self, tmp_path_factory, rows, keyed, provenance):
+        assume(all(r[:3] != ("id", "source", "path") for r in rows))
+        pool = RirPool(tuple(PoolEntry(i, s, p, k if keyed else "") for i, s, p, k in rows))
+        path = tmp_path_factory.mktemp("pool") / "pool.csv"
+        write_pool_csv(pool, path, provenance=provenance)
+        assert read_pool_csv(path) == pool
+
+    @pytest.mark.parametrize("quoted", ['"#a"', '"a,""b"'])
+    def test_compose_writes_a_quoted_id_back_readable(self, tmp_path, quoted):
+        src = tmp_path / "in.csv"
+        src.write_text(f"{quoted},S,/x/a.wav\nb,S,/x/b.wav\n", encoding="utf-8")
+        pool = read_pool_csv(src)
+        out = tmp_path / "out.csv"
+        write_pool_csv(compose_pool([(pool, 2)], rng_seed=0), out, provenance={"seed": 0})
+        assert sorted(_ids(read_pool_csv(out))) == sorted(_ids(pool))
+
+    @pytest.mark.parametrize("where", ["id", "source", "path", "strat_key", "provenance"])
+    @pytest.mark.parametrize("brk", LINE_BREAKS)
+    def test_line_break_refused_before_the_file_is_made(self, tmp_path, where, brk):
+        fields = {"id": "a", "source": "S", "path": "/x/a.wav", "strat_key": "room"}
+        provenance = {"seed": 1}
+        if where == "provenance":
+            provenance["note"] = f"x{brk}y"
+        else:
+            fields[where] = f"x{brk}y"
+        path = tmp_path / "pool.csv"
+        with pytest.raises(ValueError, match="pool\\.csv: .*line break") as err:
+            write_pool_csv(RirPool((PoolEntry(**fields),)), path, provenance=provenance)
+        assert str(path) in str(err.value)
+        assert not path.exists()

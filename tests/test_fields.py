@@ -117,3 +117,20 @@ def test_text_files_name_their_encoding(tmp_path):
         env=env, capture_output=True, text=True, encoding="utf-8", timeout=300)
     assert run.returncode == 0, run.stderr
     assert "rü,Sü,/ü.wav".encode() in (tmp_path / "pool.csv").read_bytes()
+
+
+def test_every_csv_table_ends_its_lines_in_lf(tmp_path):
+    """The four CSV tables rirkit writes share one dialect: LF line ends only."""
+    from rirkit import acoustics, corpus, sampler
+    from rirkit.gan import LogRow, write_log_csv
+
+    p = acoustics.AcousticParams(0.3, 5.0, 0.2, 9.0)
+    acoustics.write_params_csv(tmp_path / "params.csv", [("r0", p), ("r1", p)])
+    write_log_csv([LogRow(1, 0.5, -0.5, 0.25), LogRow(2, 0.4, -0.4, 0.2)],
+                  tmp_path / "log.csv")
+    sampler.GenerationReport(accepted=2, tries=3).to_csv(tmp_path / "report.csv")
+    pool = corpus.RirPool([corpus.PoolEntry("a", "S", "/a.wav", "room1")])
+    corpus.write_pool_csv(pool, tmp_path / "pool.csv", provenance={"seed": 1})
+    for name in ("params.csv", "log.csv", "report.csv", "pool.csv"):
+        data = (tmp_path / name).read_bytes()
+        assert b"\r" not in data and data.count(b"\n") >= 3, name

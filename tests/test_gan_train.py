@@ -241,6 +241,11 @@ class TestTrainLoop:
         cfg = TrainConfig(steps=np.int64(2), learning_rate=np.float32(1e-4), clip_c=1)
         assert cfg.steps == 2
 
+    @pytest.mark.parametrize("dataset", [[], np.zeros((0, 16384), np.float32)])
+    def test_empty_dataset_refused(self, dataset):
+        with pytest.raises(ValueError, match="non-empty collection"):
+            train(dataset, TrainConfig(steps=1, d=1))
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
