@@ -89,13 +89,21 @@ def parse_json(text: str, where: object) -> object:
 
 def write_csv(path: str | Path, header: list[str], rows: typing.Iterable[typing.Sequence],
               comments: typing.Iterable[str] = ()) -> None:
-    """Refuse a field or comment that ``str.splitlines`` would break, with a
-    ValueError naming ``path``, before the file is opened."""
+    """Refuse a field or comment that ``str.splitlines`` would break, or that
+    UTF-8 cannot encode (a lone surrogate, such as the ``\udcff`` Python
+    decodes a non-UTF-8 file name byte to), with a ValueError naming ``path``,
+    before the file is opened."""
     rows, comments = [header, *rows], list(comments)
     for value in (*comments, *(v for row in rows for v in row)):
-        if len(f"{value}.".splitlines()) > 1:  # the "." makes a trailing break count
+        text = f"{value}"
+        if len(f"{text}.".splitlines()) > 1:  # the "." makes a trailing break count
             raise ValueError(f"{path}: a CSV field or comment may not hold a line "
                              f"break, got {value!r}")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"{path}: a CSV field or comment must be text UTF-8 "
+                             f"can encode, got {value!r}") from None
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.writelines(f"# {c}\n" for c in comments)
         plain, quoted = (csv.writer(f, lineterminator="\n", quoting=q)

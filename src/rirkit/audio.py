@@ -186,40 +186,38 @@ def _sinc_taps(up: int, down: int) -> np.ndarray:
     return taps
 
 
-def _ratio(src: int, target: int) -> tuple[int, int]:
-    """(up, down) in lowest terms, with target / src == up / down."""
-    g = gcd(src, target)
-    return target // g, src // g
+def _ratio(src: int) -> tuple[int, int]:
+    """(up, down) in lowest terms, with RIR_RATE / src == up / down."""
+    g = gcd(src, RIR_RATE)
+    return RIR_RATE // g, src // g
 
 
-def resample(buffer: AudioBuffer, target_rate: int) -> AudioBuffer:
-    """Band-limited polyphase resampling (Kaiser-windowed sinc).
+def resample(buffer: AudioBuffer) -> AudioBuffer:
+    """Band-limited polyphase resampling (Kaiser-windowed sinc) to RIR_RATE.
 
-    Output length is round(n * target / source). Identity when rates match.
+    Output length is round(n * RIR_RATE / source). Identity at RIR_RATE.
     A ratio whose filter needs more than _MAX_TAPS taps is refused unbuilt,
     and so is an input too short to give one output sample.
     """
-    if target_rate <= 0:
-        raise ValueError(f"target_rate must be > 0, got {target_rate}")
     src = buffer.sample_rate
-    if target_rate == src:
+    if src == RIR_RATE:
         return AudioBuffer(buffer.samples.copy(), src)
 
-    up, down = _ratio(src, int(target_rate))
+    up, down = _ratio(src)
     n_taps = 2 * _SINC_ZERO_CROSSINGS * max(up, down) + 1
     if n_taps > _MAX_TAPS:
-        raise ValueError(f"resampling {src} Hz to {target_rate} Hz needs a "
+        raise ValueError(f"resampling {src} Hz to {RIR_RATE} Hz needs a "
                          f"{n_taps}-tap filter, more than the {_MAX_TAPS} allowed")
     n = buffer.samples.size
-    n_out = int(np.floor(n * target_rate / src + 0.5))
+    n_out = int(np.floor(n * RIR_RATE / src + 0.5))
     if n_out == 0:
-        raise ValueError(f"{n} samples at {src} Hz give no sample at {target_rate} Hz")
+        raise ValueError(f"{n} samples at {src} Hz give no sample at {RIR_RATE} Hz")
     from scipy.signal import resample_poly
 
     # resample_poly gives ceil(n * up / down) samples, never fewer than n_out
     y = resample_poly(buffer.samples.astype(np.float64), up, down,
                       window=_sinc_taps(up, down))
-    return AudioBuffer(y[:n_out].astype(np.float32), int(target_rate))
+    return AudioBuffer(y[:n_out].astype(np.float32), RIR_RATE)
 
 
 def _rir_prefix(src: int) -> int:
@@ -239,7 +237,7 @@ def _rir_prefix(src: int) -> int:
     """
     if src == RIR_RATE:
         return RIR_LENGTH
-    up, down = _ratio(src, RIR_RATE)
+    up, down = _ratio(src)
     half = _SINC_ZERO_CROSSINGS * max(up, down)
     return ((RIR_LENGTH - 1) * down + half) // up + 1
 
@@ -254,7 +252,7 @@ def to_rir(buffer: AudioBuffer) -> Rir:
     n = _rir_prefix(buffer.sample_rate)
     if len(buffer) > n:
         buffer = AudioBuffer(buffer.samples[:n], buffer.sample_rate)
-    s = resample(buffer, RIR_RATE).samples[:RIR_LENGTH]
+    s = resample(buffer).samples[:RIR_LENGTH]
     if s.size < RIR_LENGTH:
         s = np.concatenate([s, np.zeros(RIR_LENGTH - s.size, dtype=np.float32)])
     return Rir.from_samples(s)

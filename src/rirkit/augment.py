@@ -192,7 +192,7 @@ def _load_at_rir_rate(path: str) -> AudioBuffer:
     """A WAV at RIR_RATE; a resampling ValueError is prefixed with the path."""
     buf = load_wav(path)
     try:
-        return resample(buf, RIR_RATE) if buf.sample_rate != RIR_RATE else buf
+        return resample(buf) if buf.sample_rate != RIR_RATE else buf
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -17,7 +17,8 @@ from pathlib import Path
 from . import acoustics, augment, corpus, sampler
 from ._fields import parse_json, read_text
 from .audio import load_rir, save_wav
-from .gan import TrainConfig, TrainingDivergedError, load_checkpoint, train
+from .gan.checkpoint import load_checkpoint
+from .gan.training import TrainConfig, TrainingDivergedError, train
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,8 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check a pool for missing or bad files")
     p.add_argument("--pool", type=Path, required=True)
-    p.add_argument("--no-load", action="store_true",
-                   help="skip loading each file as a RIR")
     return parser
 
 
@@ -217,7 +216,7 @@ def _cmd_compose(args) -> int:
 
 def _cmd_validate(args) -> int:
     pool = corpus.read_pool_csv(args.pool)
-    report = corpus.validate_pool(pool, load=not args.no_load, threads=args.threads)
+    report = corpus.validate_pool(pool, threads=args.threads)
     counts = ", ".join(f"{k}:{v}" for k, v in sorted(report.source_counts.items()))
     print(f"checked {report.checked} entries ({counts})")
     for rid, problem in report.findings:

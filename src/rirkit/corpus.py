@@ -106,9 +106,9 @@ def _map(fn, items, threads: int) -> list:
         return list(tp.map(fn, items))
 
 
-def validate_pool(pool: RirPool, load: bool = True, threads: int = 1) -> ValidationReport:
-    """Check id uniqueness, file existence, and (optionally) loadability as a
-    canonical RIR. Non-fatal: everything lands in the findings list."""
+def validate_pool(pool: RirPool, threads: int = 1) -> ValidationReport:
+    """Check id uniqueness, file existence, and loadability as a canonical
+    RIR. Non-fatal: everything lands in the findings list."""
     from .audio import load_rir
 
     report = ValidationReport(checked=len(pool), source_counts=pool.source_counts())
@@ -122,11 +122,10 @@ def validate_pool(pool: RirPool, load: bool = True, threads: int = 1) -> Validat
         p = Path(e.path)
         if not p.is_file():
             return (e.id, f"missing file: {e.path}")
-        if load:
-            try:
-                load_rir(p)
-            except Exception as exc:
-                return (e.id, f"not loadable as RIR: {exc}")
+        try:
+            load_rir(p)
+        except Exception as exc:
+            return (e.id, f"not loadable as RIR: {exc}")
         return None
 
     report.findings.extend(r for r in _map(check, pool.entries, threads) if r is not None)
@@ -134,14 +133,17 @@ def validate_pool(pool: RirPool, load: bool = True, threads: int = 1) -> Validat
 
 
 def read_pool_csv(path: str | Path) -> RirPool:
-    """Read a pool CSV. A row with the wrong number of fields, an empty id or
-    an empty path is refused with a ValueError naming the file and the line."""
-    entries = []
+    """Read a pool CSV. Its first row that is not a comment is skipped when it
+    is the header id,source,path[,...]. A row with the wrong number of fields,
+    an empty id or an empty path is refused with a ValueError naming the file
+    and the line."""
+    entries, first = [], True
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if line.startswith("#") or not line.strip():
             continue
         row = next(csv.reader(io.StringIO(line)))
-        if row[:3] == ["id", "source", "path"]:
+        header, first = first and row[:3] == ["id", "source", "path"], False
+        if header:
             continue
         if len(row) not in (3, 4):
             raise ValueError(f"{path}: line {lineno}: expected "

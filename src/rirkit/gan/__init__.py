@@ -1,35 +1,3 @@
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .nets import LATENT_DIM, Critic, GanModel, Generator, sample_latent
-from .training import (
-    LogRow,
-    RMSProp,
-    TrainConfig,
-    TrainResult,
-    TrainingDivergedError,
-    clip_weights,
-    critic_loss,
-    generator_loss,
-    train,
-    write_log_csv,
-)
-
-__all__ = [
-    "LATENT_DIM",
-    "CheckpointError",
-    "Critic",
-    "GanModel",
-    "Generator",
-    "LogRow",
-    "RMSProp",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingDivergedError",
-    "clip_weights",
-    "critic_loss",
-    "generator_loss",
-    "load_checkpoint",
-    "sample_latent",
-    "save_checkpoint",
-    "train",
-    "write_log_csv",
-]
+"""The WaveGAN-style RIR GAN: ``layers`` (forward and backward passes),
+``nets`` (generator and critic), ``training`` (the WGAN loop) and
+``checkpoint`` (the ``IRGAN01`` file format). Import each name from its module."""

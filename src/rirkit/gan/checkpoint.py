@@ -61,7 +61,7 @@ def save_checkpoint(model, path: str | Path) -> None:
         "d": model.d,
         "step": model.step,
         "seed": model.seed,
-        "latent_dist": model.latent_dist,
+        "latent_dist": "uniform",
         "shuffle_radius": model.critic.shuffle_radius,
         "params": [entry for entry, _ in tensors],
     }
@@ -82,7 +82,7 @@ def load_checkpoint(path: str | Path, critic: bool = True):
     the file size are checked as in a full load, but the critic's blobs are
     left unread and the model's critic is None.
     """
-    from .nets import LATENT_DISTS, Critic, GanModel, Generator
+    from .nets import Critic, GanModel, Generator
 
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -100,7 +100,7 @@ def load_checkpoint(path: str | Path, critic: bool = True):
             "d", "step", "seed", "latent_dist", "shuffle_radius"))
         if not all(type(v) is int for v in (d, step, seed)) or d < 1:
             raise CheckpointError(f"{path}: header needs integers d >= 1, step and seed")
-        if latent_dist not in LATENT_DISTS:
+        if latent_dist != "uniform":
             raise CheckpointError(f"{path}: unknown latent distribution {latent_dist!r}")
         if type(radius) is not int or radius < 0:
             raise CheckpointError(f"{path}: shuffle radius must be an integer >= 0")
@@ -123,7 +123,7 @@ def load_checkpoint(path: str | Path, critic: bool = True):
 
         try:  # zero weights, filled in place below
             model = GanModel(Generator(d), Critic(d, shuffle_radius=radius) if critic else None,
-                             d=d, step=step, seed=seed, latent_dist=latent_dist)
+                             d=d, step=step, seed=seed)
         except MemoryError:
             raise CheckpointError(f"{path}: no memory for a d={d} model") from None
         tensors = _tensors(model)

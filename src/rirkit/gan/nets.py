@@ -32,20 +32,11 @@ LATENT_DIM = 100
 KERNEL = 25
 STRIDE = 4
 LEAKY_SLOPE = 0.2
-LATENT_DISTS = ("uniform", "gaussian")
 
 
-def sample_latent(rng: np.random.Generator, n: int,
-                  dist: str = "uniform") -> np.ndarray:
-    """Draw an (n, LATENT_DIM) batch of latent vectors: i.i.d. Uniform[-1, 1]
-    by default, or standard Gaussian with dist="gaussian"."""
-    shape = (n, LATENT_DIM)
-    if dist == "uniform":
-        return rng.uniform(-1.0, 1.0, size=shape)
-    if dist == "gaussian":
-        return rng.standard_normal(size=shape)
-    raise ValueError(f"unknown latent distribution {dist!r}, "
-                     f"expected one of {LATENT_DISTS}")
+def sample_latent(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw an (n, LATENT_DIM) batch of i.i.d. Uniform[-1, 1] latent vectors."""
+    return rng.uniform(-1.0, 1.0, size=(n, LATENT_DIM))
 
 
 class _Net:
@@ -180,5 +171,4 @@ class GanModel:
     d: int
     step: int
     seed: int
-    latent_dist: str = "uniform"
 

@@ -18,7 +18,7 @@ import numpy as np
 from .._fields import check_fields, write_csv
 from ..audio import Rir
 from .checkpoint import save_checkpoint
-from .nets import LATENT_DISTS, Critic, GanModel, Generator, sample_latent
+from .nets import Critic, GanModel, Generator, sample_latent
 
 
 class TrainingDivergedError(RuntimeError):
@@ -41,7 +41,6 @@ class TrainConfig:
     rng_seed: int = 0
     d: int = 4
     shuffle_radius: int = 2
-    latent_dist: str = "uniform"
     checkpoint_every: int = 100
 
     def __post_init__(self):
@@ -54,9 +53,6 @@ class TrainConfig:
             raise ValueError("clip_c must be > 0")
         if not self.learning_rate > 0:
             raise ValueError("learning_rate must be > 0")
-        if self.latent_dist not in LATENT_DISTS:
-            raise ValueError(f"latent_dist must be one of {LATENT_DISTS}, "
-                             f"got {self.latent_dist!r}")
 
 
 @dataclass
@@ -175,8 +171,7 @@ def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
 
-    result = TrainResult(model=GanModel(gen, critic, config.d, 0, config.rng_seed,
-                                        config.latent_dist))
+    result = TrainResult(model=GanModel(gen, critic, config.d, 0, config.rng_seed))
     # gradient of the critic loss wrt scores of the combined [real | fake] batch
     gs_critic = np.repeat(np.float32([-1.0 / b, 1.0 / b]), b)
     gs_gen = np.full(b, -1.0 / b, dtype=np.float32)
@@ -189,7 +184,7 @@ def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
             for _ in range(config.n_critic):
                 idx = rng.integers(0, n_data, size=b)
                 real = data[idx]
-                z = sample_latent(rng, b, config.latent_dist)
+                z = sample_latent(rng, b)
                 fake = gen.forward(z)
                 scores = critic.forward(np.concatenate([real, fake]), rng=rng)
                 c_loss = critic_loss(scores[:b], scores[b:])
@@ -200,7 +195,7 @@ def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
                 c_opt.step(critic.grad_arrays())
                 clip_weights(critic, config.clip_c)
 
-            z = sample_latent(rng, b, config.latent_dist)
+            z = sample_latent(rng, b)
             fake = gen.forward(z)
             scores = critic.forward(fake, rng=rng)
             g_loss = generator_loss(scores)

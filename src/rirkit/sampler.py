@@ -234,7 +234,7 @@ def generate_constrained(model, hists: ParamHistograms, n: int,
     while len(out) < n:
         for _ in range(config.max_tries_per_sample):
             report.tries += 1
-            z = sample_latent(rng, 1, dist=model.latent_dist)
+            z = sample_latent(rng, 1)
             wave = model.generator.forward(z)[0]
             try:
                 rir = Rir.from_samples(wave)

@@ -15,7 +15,8 @@ from rirkit.audio import AudioBuffer, RIR_LENGTH, RIR_RATE, Rir, convolve, load_
 from rirkit.augment import AugmentSpec, augment_corpus, compute_alpha, looped_noise, mix, read_manifest
 from rirkit.cli import main as cli_main
 from rirkit.corpus import PoolEntry, RirPool, SplitSpec, compose_pool, split, write_pool_csv
-from rirkit.gan import Critic, Generator, TrainConfig, sample_latent, train
+from rirkit.gan.nets import Critic, Generator, sample_latent
+from rirkit.gan.training import TrainConfig, train
 from rirkit.sampler import SamplerConfig, build_histograms, generate_constrained
 
 from _gradcheck import numeric_gradient, relative_error

@@ -1,6 +1,7 @@
 """Checkpoint load contract: a checkpoint restores every tensor of the model
 its header describes, or it raises CheckpointError."""
 
+import hashlib
 import json
 import re
 import struct
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rirkit.gan import CheckpointError, Critic, GanModel, Generator, load_checkpoint, save_checkpoint
-from rirkit.gan.checkpoint import MAGIC
+from rirkit.gan.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from rirkit.gan.nets import Critic, GanModel, Generator
 
 
 def _d1_model():
@@ -37,6 +38,16 @@ def split(path):
 def join(path, header, body):
     blob = json.dumps(header).encode("utf-8")
     path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + body)
+
+
+def test_golden_bytes(saved):
+    """The file format, pinned: a change to the header's keys, their order or
+    values, or to the blob layout, moves these."""
+    data = saved[1].read_bytes()
+    assert len(data) == 140657
+    assert hashlib.sha256(data).hexdigest() == (
+        "c89b0e49bfc2a360d509223c7f3f252ce7f5e174072bd21699cf2195813849a7")
+    assert split(saved[1])[0]["latent_dist"] == "uniform"
 
 
 def test_rewritten_unchanged_header_still_loads(saved):
@@ -102,6 +113,7 @@ def test_bad_integer_fields_refused(saved, key, value):
 
 
 @pytest.mark.parametrize("key, value", [("latent_dist", "cauchy"),
+                                        ("latent_dist", "gaussian"),
                                         ("shuffle_radius", -3),
                                         ("shuffle_radius", "two"),
                                         ("latent_dist", None),

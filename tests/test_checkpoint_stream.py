@@ -10,8 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rirkit.gan import CheckpointError, Critic, GanModel, Generator, load_checkpoint, save_checkpoint
-from rirkit.gan.checkpoint import _BLOCK_BYTES, _NO_BYTES, MAGIC, _blocks, _tensors
+from rirkit.gan.checkpoint import (_BLOCK_BYTES, _NO_BYTES, MAGIC, CheckpointError, _blocks,
+                                   _tensors, load_checkpoint, save_checkpoint)
+from rirkit.gan.nets import Critic, GanModel, Generator
 
 
 def _model(d):

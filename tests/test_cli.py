@@ -18,8 +18,9 @@ from rirkit.audio import AudioBuffer, Rir, load_wav, save_wav
 from rirkit.augment import AugmentSpec
 from rirkit.cli import main
 from rirkit.corpus import PoolEntry, RirPool, write_pool_csv
-from rirkit.gan import Critic, GanModel, Generator, TrainConfig, load_checkpoint, save_checkpoint
-from rirkit.gan.checkpoint import MAGIC
+from rirkit.gan.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from rirkit.gan.nets import Critic, GanModel, Generator
+from rirkit.gan.training import TrainConfig
 from rirkit.sampler import (SamplerConfig, build_histograms, generate_constrained,
                             load_histograms, save_histograms)
 
@@ -302,6 +303,9 @@ BAD_INPUTS = {
     "unknown latent_dist": lambda ws, tmp: [
         "train", "--config", _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1,
                                            "latent_dist": "cauchy"})],
+    "removed latent_dist key": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1,
+                                           "latent_dist": "uniform"})],
     "sampler tries not an integer": lambda ws, tmp: [
         "generate", "--model", _model(tmp), "--hist", _hist(ws, tmp), "-n", "1",
         "--config", _config(tmp, {"max_tries_per_sample": 1.5})],
@@ -380,6 +384,7 @@ NAMED_FILE = {
     "train pool null": "config.json",
     "train pool empty string": "config.json",
     "train pool with no entries": "pool.csv",
+    "removed latent_dist key": "config.json",
     "train config nested too deeply": "config.json",
     "augment spec nested too deeply": "config.json",
     "train config not UTF-8": "config.json",
@@ -404,6 +409,14 @@ def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
     assert "Traceback" not in err
     if case in NAMED_FILE:
         assert str(tmp_path / NAMED_FILE[case]) in err
+
+
+def test_validate_no_load_is_gone(workspace, capsys):
+    """validate always loads each file; the flag that skipped it is an argparse error."""
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--pool", str(workspace / "rirs.csv"), "--no-load"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-load" in capsys.readouterr().err
 
 
 def test_analyze_bins_refused_before_any_rir_is_read(workspace, tmp_path, capsys):

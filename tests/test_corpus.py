@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rirkit.audio import save_wav
@@ -221,11 +221,28 @@ class TestPoolCsvRoundTrip:
            keyed=st.booleans(),
            provenance=st.none() | st.dictionaries(_field, _field, max_size=3))
     def test_written_pool_reads_back_equal(self, tmp_path_factory, rows, keyed, provenance):
-        assume(all(r[:3] != ("id", "source", "path") for r in rows))
         pool = RirPool(tuple(PoolEntry(i, s, p, k if keyed else "") for i, s, p, k in rows))
         path = tmp_path_factory.mktemp("pool") / "pool.csv"
         write_pool_csv(pool, path, provenance=provenance)
         assert read_pool_csv(path) == pool
+
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_entry_spelling_the_header_reads_back(self, tmp_path, keyed):
+        """Only the first row that is not a comment may be the header; an entry
+        id,source,path (first or later) is an entry."""
+        pool = RirPool((PoolEntry("id", "source", "path", "room1" if keyed else ""),
+                        PoolEntry("a", "S", "/x/a.wav"),
+                        PoolEntry("id", "source", "path")))
+        path = tmp_path / "pool.csv"
+        write_pool_csv(pool, path, provenance={"seed": 0})
+        assert read_pool_csv(path) == pool
+
+    def test_header_skipped_only_as_the_first_row(self, tmp_path):
+        path = tmp_path / "pool.csv"
+        path.write_text("# seed=0\n\nid,source,path\nid,source,path\n", encoding="utf-8")
+        assert read_pool_csv(path) == RirPool((PoolEntry("id", "source", "path"),))
+        path.write_text("a,S,/x/a.wav\nid,source,path,strat_key\n", encoding="utf-8")
+        assert _ids(read_pool_csv(path)) == ["a", "id"]
 
     @pytest.mark.parametrize("quoted", ['"#a"', '"a,""b"'])
     def test_compose_writes_a_quoted_id_back_readable(self, tmp_path, quoted):

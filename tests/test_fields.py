@@ -10,7 +10,7 @@ import pytest
 from rirkit._fields import check_fields
 from rirkit.augment import AugmentSpec, MixRecord
 from rirkit.corpus import SplitSpec
-from rirkit.gan import TrainConfig
+from rirkit.gan.training import TrainConfig
 from rirkit.sampler import SamplerConfig
 
 # Every record read from outside the program, with the fewest valid arguments.
@@ -78,8 +78,9 @@ import sys
 from pathlib import Path
 
 from rirkit import acoustics, augment, cli, corpus, sampler
-from rirkit.gan import (Critic, GanModel, Generator, LogRow, load_checkpoint,
-                        save_checkpoint, write_log_csv)
+from rirkit.gan.checkpoint import load_checkpoint, save_checkpoint
+from rirkit.gan.nets import Critic, GanModel, Generator
+from rirkit.gan.training import LogRow, write_log_csv
 
 out = Path(sys.argv[1])
 params = [acoustics.AcousticParams(0.3 + 0.1 * i, 5.0 + i, 0.2 + 0.1 * i, 9.0 + i)
@@ -122,7 +123,7 @@ def test_text_files_name_their_encoding(tmp_path):
 def test_every_csv_table_ends_its_lines_in_lf(tmp_path):
     """The four CSV tables rirkit writes share one dialect: LF line ends only."""
     from rirkit import acoustics, corpus, sampler
-    from rirkit.gan import LogRow, write_log_csv
+    from rirkit.gan.training import LogRow, write_log_csv
 
     p = acoustics.AcousticParams(0.3, 5.0, 0.2, 9.0)
     acoustics.write_params_csv(tmp_path / "params.csv", [("r0", p), ("r1", p)])
@@ -134,3 +135,23 @@ def test_every_csv_table_ends_its_lines_in_lf(tmp_path):
     for name in ("params.csv", "log.csv", "report.csv", "pool.csv"):
         data = (tmp_path / name).read_bytes()
         assert b"\r" not in data and data.count(b"\n") >= 3, name
+
+
+def test_text_utf8_cannot_encode_refused_before_the_file_is_made(tmp_path):
+    """'\udcff' is the stem Python gives a file name that is not UTF-8, and
+    analyze --csv uses stems as row ids."""
+    from rirkit import acoustics, corpus
+
+    p = acoustics.AcousticParams(0.3, 5.0, 0.2, 9.0)
+    path = tmp_path / "params.csv"
+    with pytest.raises(ValueError, match="UTF-8 can encode") as err:
+        acoustics.write_params_csv(path, [("ok", p), ("\udcff", p)])
+    assert str(path) in str(err.value)
+    assert not path.exists()
+
+    path = tmp_path / "pool.csv"
+    pool = corpus.RirPool([corpus.PoolEntry("a", "S", "/a.wav")])
+    with pytest.raises(ValueError, match="UTF-8 can encode") as err:
+        corpus.write_pool_csv(pool, path, provenance={"note": "x\ud800"})
+    assert str(path) in str(err.value)
+    assert not path.exists()

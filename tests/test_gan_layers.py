@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 import rirkit.gan.layers as layers
-from rirkit.gan import (
-    GanModel,
-    RMSProp,
-    TrainConfig,
-    clip_weights,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-)
+from rirkit.gan.checkpoint import load_checkpoint, save_checkpoint
 from rirkit.gan.layers import (
     Conv1d,
     ConvTranspose1d,
@@ -20,7 +12,8 @@ from rirkit.gan.layers import (
     ReLU,
     Tanh,
 )
-from rirkit.gan.nets import Critic, Generator
+from rirkit.gan.nets import Critic, GanModel, Generator
+from rirkit.gan.training import RMSProp, TrainConfig, clip_weights, train
 
 from _gradcheck import numeric_gradient, relative_error
 

@@ -17,12 +17,17 @@ SRC = str(Path(rirkit.__file__).resolve().parent.parent)
 SCIPY = ("scipy.signal", "scipy.fft")
 
 
-def _run(body: str, tmp_path) -> None:
-    """Run body after `import rirkit, rirkit.cli` in a fresh interpreter, in tmp_path."""
-    script = "import sys\nsys.path.insert(0, %r)\nimport rirkit, rirkit.cli\n" % SRC
+def _run_fresh(body: str, tmp_path) -> None:
+    """Run body in a fresh interpreter that has imported nothing of rirkit, in tmp_path."""
+    script = "import sys\nsys.path.insert(0, %r)\n" % SRC
     proc = subprocess.run([sys.executable, "-c", script + textwrap.dedent(body)],
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _run(body: str, tmp_path) -> None:
+    """Run body after `import rirkit, rirkit.cli` in a fresh interpreter, in tmp_path."""
+    _run_fresh("import rirkit, rirkit.cli\n" + textwrap.dedent(body), tmp_path)
 
 
 def test_analyze_train_generate_at_16k_never_import_scipy(tmp_path):
@@ -60,7 +65,7 @@ def test_analyze_train_generate_at_16k_never_import_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("call, module", [
-    ("audio.resample(audio.AudioBuffer(np.ones(480, np.float32), 48000), 16000)",
+    ("audio.resample(audio.AudioBuffer(np.ones(480, np.float32), 48000))",
      "scipy.signal"),
     ("audio.convolve(audio.AudioBuffer(np.ones(8, np.float32), 16000),"
      " audio.AudioBuffer(np.ones(4, np.float32), 16000))", "scipy.fft"),
@@ -78,15 +83,28 @@ def test_resample_and_convolve_import_scipy(tmp_path, call, module):
 
 def test_audio_imports_no_other_rirkit_module(tmp_path):
     # the package exports only __version__, so importing one module loads no other
-    script = textwrap.dedent(f"""
-        import sys
-        sys.path.insert(0, {SRC!r})
+    _run_fresh("""
         import rirkit.audio
 
         loaded = sorted(m for m in sys.modules if m.startswith("rirkit"))
         assert loaded == ["rirkit", "rirkit.audio"], loaded
         assert not hasattr(sys.modules["rirkit"], "load_wav")
-    """)
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    """, tmp_path)
+
+
+def test_gan_checkpoint_loads_no_net_or_training_module(tmp_path):
+    # rirkit.gan re-exports nothing, so the checkpoint module loads only what it
+    # imports itself; load_checkpoint imports the nets when it runs
+    _run_fresh("""
+        import types
+        import rirkit.gan.checkpoint
+
+        loaded = sorted(m for m in sys.modules if m.startswith("rirkit"))
+        assert loaded == ["rirkit", "rirkit._fields", "rirkit.gan",
+                          "rirkit.gan.checkpoint"], loaded
+        import rirkit.gan.layers, rirkit.gan.nets, rirkit.gan.training
+
+        public = [name for name, value in vars(rirkit.gan).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)]
+        assert not public, public
+    """, tmp_path)

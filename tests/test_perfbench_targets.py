@@ -86,7 +86,6 @@ class _DecayGenerator:
 
 
 class _DecayModel:
-    latent_dist = "uniform"
     generator = _DecayGenerator()
 
 

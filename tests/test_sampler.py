@@ -255,8 +255,6 @@ class _StubGenerator:
 
 
 class _StubModel:
-    latent_dist = "uniform"
-
     def __init__(self, **kw):
         self.generator = _StubGenerator(**kw)
 
@@ -333,7 +331,7 @@ def _reference_generate(model, hists, n, config):
         while True:
             report.tries += 1
             tries_this_sample += 1
-            z = sample_latent(rng, 1, dist=model.latent_dist)
+            z = sample_latent(rng, 1)
             wave = model.generator.forward(z)[0]
             try:
                 rir = Rir.from_samples(np.asarray(wave, dtype=np.float32))
