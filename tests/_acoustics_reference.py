@@ -39,10 +39,12 @@ def energy_decay_curve(rir) -> np.ndarray:
     return np.maximum(db, EDC_FLOOR_DB)
 
 
-def _fit_line(t: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    a = np.vstack([t, np.ones_like(t)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(a, v, rcond=None)
-    return float(slope), float(intercept)
+def _fit_slope(v: np.ndarray) -> float:
+    """Least-squares slope in dB/s of v, one value per sample, in closed form
+    (test_acoustics checks it against np.linalg.lstsq)."""
+    n = v.size
+    centred = np.arange(n) - (n - 1) / 2.0
+    return float(12.0 * np.sum(centred * v) / (n * (n * n - 1.0)) * RIR_RATE)
 
 
 def _first_at_or_below(v: np.ndarray, level: float, parameter: str) -> int:
@@ -60,8 +62,7 @@ def estimate_t60(rir) -> float:
     i25 = _first_at_or_below(v, -25.0, "t60")
     if i25 - i5 < 1:
         raise EstimationError("decay from -5 to -25 dB is instantaneous", "t60")
-    t = np.arange(v.size) / RIR_RATE
-    slope, _ = _fit_line(t[i5 : i25 + 1], v[i5 : i25 + 1])
+    slope = _fit_slope(v[i5 : i25 + 1])
     if slope >= 0.0:
         raise EstimationError("non-decaying energy curve", "t60")
     return -60.0 / slope
@@ -74,8 +75,7 @@ def estimate_edt(rir) -> float:
     start = int(start_candidates[-1]) if start_candidates.size else 0
     if i10 - start < 2:
         raise EstimationError("no resolvable decay region above -10 dB", "edt")
-    t = np.arange(v.size) / RIR_RATE
-    slope, _ = _fit_line(t[start : i10 + 1], v[start : i10 + 1])
+    slope = _fit_slope(v[start : i10 + 1])
     if slope >= 0.0:
         raise EstimationError("non-decaying energy curve", "edt")
     return 6.0 * (-10.0 / slope)

@@ -81,6 +81,28 @@ class TestT60:
             estimate_t60(Rir(s))
 
 
+def _lstsq_slope(v, lo, hi):
+    """The fit as np.linalg.lstsq solves it: slope in dB/s of the line through
+    samples lo..hi."""
+    t = np.arange(lo, hi + 1) / RIR_RATE
+    a = np.vstack([t, np.ones_like(t)]).T
+    return float(np.linalg.lstsq(a, v[lo : hi + 1], rcond=None)[0][0])
+
+
+@pytest.mark.parametrize("t60", [0.2, 0.5, 1.0])
+def test_decay_slope_matches_lstsq(t60):
+    """The closed-form slope agrees with a least-squares solve over the T60
+    and EDT spans and over short ones, to float64 rounding."""
+    v = energy_decay_curve(noise_rir(t60, np.random.default_rng(int(t60 * 10)))).values
+    i5, i25 = int(np.argmax(v <= -5.0)), int(np.argmax(v <= -25.0))
+    spans = [(i5, i25), (0, int(np.argmax(v <= -10.0))), (i5, i5 + 1), (i5, i5 + 2),
+             (100, 5000)]
+    for lo, hi in spans:
+        want = _lstsq_slope(v, lo, hi)
+        got = acoustics._decay_slope(v, lo, hi, "t60")
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (lo, hi)
+
+
 class TestEDT:
     @pytest.mark.parametrize("t60", [0.3, 0.5, 1.0])
     def test_equals_t60_for_single_slope(self, t60):

@@ -547,9 +547,10 @@ def test_fuzz_clean_manifest_and_pool_csv_through_augment(workspace, data):
 
 def _valid_histogram_doc(doc) -> bool:
     """What load_histograms must accept, written out independently: per
-    parameter, at least two strictly increasing finite edges and one
-    non-negative int64 count per bin (no bools, no fractions), and every
-    parameter's counts summing to an integer total_count >= 1."""
+    parameter, at least two strictly increasing finite edges whose bin widths
+    all equal the first to 1e-9 of the span (plus 4 ulps of the largest edge)
+    and one non-negative int64 count per bin (no bools, no fractions), and
+    every parameter's counts summing to an integer total_count >= 1."""
     def numbers(v, kinds):
         return isinstance(v, list) and all(type(x) in kinds for x in v)
 
@@ -568,6 +569,10 @@ def _valid_histogram_doc(doc) -> bool:
             return False
         if not all(math.isfinite(e) for e in edges) or any(
                 b <= a for a, b in zip(edges, edges[1:])):
+            return False
+        widths = [b - a for a, b in zip(edges, edges[1:])]
+        tol = 1e-9 * (edges[-1] - edges[0]) + 4 * math.ulp(max(abs(e) for e in edges))
+        if any(abs(w - widths[0]) > tol for w in widths):
             return False
         if any(not 0 <= c < 2**63 for c in counts) or sum(counts) != total:
             return False

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import rirkit.gan.layers as layers
 from rirkit.gan.checkpoint import load_checkpoint, save_checkpoint
@@ -243,11 +246,20 @@ class TestKernelReferences:
         np.testing.assert_array_equal(ps.backward(g), g)
 
 
-# Reference kernels: the tap-by-tap overlap-add, Conv1d.backward through a
-# transposed view with its input gradient always computed, the index-map
-# gather and np.add.at scatter of PhaseShuffle, the np.where activations and
-# RMSProp on fresh temporaries. The layers must give the same bits, because
-# each output sums the same terms in the same order.
+# Reference kernels: the np.pad + sliding-window gather, the tap-by-tap
+# overlap-add, Conv1d.backward with its input gradient always computed, the
+# index-map gather and np.add.at scatter of PhaseShuffle, the np.where
+# activations and RMSProp on fresh temporaries. The layers must give the same
+# bits, because each output sums the same terms in the same order.
+
+def _ref_gather(x, k, s):
+    """SAME pad along time, then one (c, k) window per stride-s step."""
+    b, t, c = x.shape
+    pl = (k - s) // 2
+    xp = np.pad(x, ((0, 0), (pl, k - s - pl), (0, 0)))
+    v = sliding_window_view(xp, k, axis=1)[:, ::s]  # (b, t/s, c, k)
+    return np.ascontiguousarray(v).reshape(b * (t // s), c * k)
+
 
 def _ref_overlap_add(contrib, s, dtype):
     """Tap-by-tap: k strided adds in ascending tap order, then the crop."""
@@ -259,9 +271,24 @@ def _ref_overlap_add(contrib, s, dtype):
     return full[:, crop : crop + t * s, :]
 
 
+def _block_products(a, wm, k, s):
+    """(b, t, k, c) window contributions as _overlap_add forms them: one GEMM
+    per s-tap block, a @ wm[:, m*s*c : (m*s + w)*c], joined along the taps."""
+    b, t, n = a.shape
+    c = wm.shape[1] // k
+    a2 = a.reshape(b * t, n)
+    blocks = [a2 @ wm[:, j * c : min(j + s, k) * c] for j in range(0, k, s)]
+    return np.concatenate(blocks, axis=1).reshape(b, t, k, c)
+
+
+def _ref_overlap_add_gemm(a, wm, k, s):
+    """_overlap_add's contract: the block products, added tap by tap."""
+    return _ref_overlap_add(_block_products(a, wm, k, s), s, a.dtype)
+
+
 def _ref_conv1d_backward(self, gy, param_grads=True, input_grad=True):
-    """Conv1d.backward with channel-major contributions behind a transposed
-    view; it computes the input gradient whatever input_grad says."""
+    """Conv1d.backward with the block products added tap by tap; it computes
+    the input gradient whatever input_grad says."""
     v = self._require_ctx()
     b, t_out, _ = gy.shape
     k = self.kernel
@@ -270,8 +297,8 @@ def _ref_conv1d_backward(self, gy, param_grads=True, input_grad=True):
         gw = v.T @ g2
         self.grads["W"] = gw.reshape(self.c_in, k, self.c_out).transpose(1, 0, 2)
         self.grads["b"] = g2.sum(axis=0)
-    contrib = (g2 @ self._wm().T).reshape(b, t_out, self.c_in, k)
-    return _ref_overlap_add(contrib.transpose(0, 1, 3, 2), self.stride, gy.dtype)
+    wk = self.params["W"].reshape(k * self.c_in, self.c_out)
+    return _ref_overlap_add_gemm(gy, wk.T, k, self.stride)
 
 
 def _ref_index_map(t, shift):
@@ -347,23 +374,78 @@ def _special_pairs(dtype):
             np.concatenate([np.tile(table, table.size), rand[1]]))
 
 
+# (b, t, k, c) contribution shape -> (stride, inner width n of the GEMM)
+OVERLAP_ADD_CASES = {
+    (16, 4096, 25, 1): (4, 4),      # train-d4: critic conv1 input gradient
+    (16, 1024, 25, 4): (4, 8),      # train-d4: critic conv2 / generator tconv4
+    (8, 256, 25, 8): (4, 16),       # train-d4: generator tconv3
+    (1, 16, 25, 512): (4, 1024),    # d=64: generator tconv1
+    (1, 1024, 25, 64): (4, 128),    # d=64: generator tconv4
+    (3, 40, 11, 5): (3, 6),         # stride that does not divide the kernel
+    (2, 30, 8, 3): (4, 2),          # stride that divides the kernel
+}
+OVERLAP_ADD_SHAPES = [(shape, s) for shape, (s, _) in OVERLAP_ADD_CASES.items()]
+
+
+def _gemm_operands(shape, dtype):
+    b, t, k, c = shape
+    n = OVERLAP_ADD_CASES[shape][1]
+    rng = np.random.default_rng(sum(shape) + n)
+    return (rng.standard_normal((b, t, n)).astype(dtype),
+            rng.standard_normal((n, k * c)).astype(dtype))
+
+
 class TestKernelEquivalence:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape, s", [
-        ((16, 4096, 25, 1), 4),   # train-d4: critic conv1 input gradient
-        ((16, 1024, 25, 4), 4),   # train-d4: critic conv2 / generator tconv4
-        ((8, 256, 25, 8), 4),     # train-d4: generator tconv3
-        ((1, 16, 25, 512), 4),    # d=64: generator tconv1
-        ((1, 1024, 25, 64), 4),   # d=64: generator tconv4
-        ((3, 40, 11, 5), 3),      # stride that does not divide the kernel
-        ((2, 30, 8, 3), 4),       # stride that divides the kernel
-    ])
+    @pytest.mark.parametrize("shape, s", OVERLAP_ADD_SHAPES)
     def test_overlap_add_matches_tap_loop(self, shape, s, dtype):
-        contrib = np.random.default_rng(sum(shape)).standard_normal(shape).astype(dtype)
-        got = layers._overlap_add(contrib, s, dtype)
-        ref = _ref_overlap_add(contrib, s, dtype)
+        a, wm = _gemm_operands(shape, dtype)
+        got = layers._overlap_add(a, wm, shape[2], s)
+        ref = _ref_overlap_add_gemm(a, wm, shape[2], s)
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("shape, s", OVERLAP_ADD_SHAPES)
+    def test_block_products_match_one_gemm(self, shape, s):
+        """Splitting the GEMM by tap block keeps its full inner width, so in
+        float64 it moves each product by rounding only."""
+        a, wm = _gemm_operands(shape, np.float64)
+        b, t, k, c = shape
+        one = (a.reshape(b * t, -1) @ wm).reshape(shape)
+        blocks = _block_products(a, wm, k, s)
+        assert np.max(np.abs(blocks - one)) <= 1e-12 * np.max(np.abs(one))
+
+    @pytest.mark.parametrize("x_shape, s", [
+        ((8, 16384, 1), 4),   # train-d4: critic conv1
+        ((8, 4096, 4), 4),    # train-d4: critic conv2
+        ((8, 1024, 8), 4),    # train-d4: critic conv3
+        ((8, 256, 16), 4),    # train-d4: critic conv4
+        ((8, 64, 32), 4),     # train-d4: critic conv5
+        ((1, 64, 512), 4),    # d=64: generator tconv1 backward
+        ((3, 42, 5), 3),      # stride that does not divide the kernel
+    ])
+    def test_gather_matches_sliding_window(self, x_shape, s):
+        k = 25 if s == 4 else 11
+        x = np.random.default_rng(sum(x_shape)).standard_normal(x_shape).astype(np.float32)
+        got = layers._gather(x, k, s)
+        ref = _ref_gather(x, k, s)
+        assert got.flags.c_contiguous and got.dtype == ref.dtype
+        assert np.array_equal(_bits(got), _bits(ref))
+
+    def test_tconv_forward_peak_below_contribution_tensor(self):
+        """d=64 tconv4 at batch 1 peaks below the (1, 1024, 25, 64) float32
+        tensor of every window's contribution (6.55 MB), which one GEMM over
+        all taps would allocate."""
+        rng = np.random.default_rng(11)
+        layer = ConvTranspose1d(128, 64, kernel=25, stride=4, rng=rng)
+        x = rng.standard_normal((1, 1024, 128)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            layer.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 * 1024 * 25 * 64 * 4
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_conv1d_backward_matches_reference(self, dtype):
@@ -443,7 +525,8 @@ class TestKernelEquivalence:
         config = TrainConfig(steps=2, batch_size=4, d=1, rng_seed=3, shuffle_radius=2,
                              checkpoint_every=0)
         for owner, attr, ref in [
-            (layers, "_overlap_add", _ref_overlap_add),
+            (layers, "_gather", _ref_gather),
+            (layers, "_overlap_add", _ref_overlap_add_gemm),
             (layers.Conv1d, "backward", _ref_conv1d_backward),
             (layers.PhaseShuffle, "forward", _ref_phase_shuffle_forward),
             (layers.PhaseShuffle, "backward", _ref_phase_shuffle_backward),

@@ -176,6 +176,7 @@ class TestHistogramPrimitives:
         ("total_count", None, 300.0, "total_count"),
         ("total_count", None, 1.9, "total_count"),
         ("total_count", None, True, "total_count"),
+        ("edges", 1, 0.25, "params.drr: bin edges must be equal-width"),
     ])
     def test_load_refuses_malformed_values(self, tmp_path, key, index, value, field):
         p = tmp_path / "h.json"
@@ -210,6 +211,8 @@ class TestHistogramPrimitives:
         ([0.0, 1.0], [1e30]),
         ([0.0, 1.0], [True]),
         ([0.0], np.array([], dtype=np.int64)),
+        ([0.0, 1.0, 3.0], [1, 1]),
+        ([0.0, 1.0, 2.0 + 1e-6], [1, 1]),
     ])
     def test_histogram_refuses_malformed_values(self, edges, counts):
         with pytest.raises(ValueError):
