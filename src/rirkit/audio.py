@@ -195,13 +195,14 @@ def _ratio(src: int) -> tuple[int, int]:
 def resample(buffer: AudioBuffer) -> AudioBuffer:
     """Band-limited polyphase resampling (Kaiser-windowed sinc) to RIR_RATE.
 
-    Output length is round(n * RIR_RATE / source). Identity at RIR_RATE.
-    A ratio whose filter needs more than _MAX_TAPS taps is refused unbuilt,
-    and so is an input too short to give one output sample.
+    Output length is round(n * RIR_RATE / source). A buffer already at
+    RIR_RATE is returned as it is, not copied. A ratio whose filter needs more
+    than _MAX_TAPS taps is refused unbuilt, and so is an input too short to
+    give one output sample.
     """
     src = buffer.sample_rate
     if src == RIR_RATE:
-        return AudioBuffer(buffer.samples.copy(), src)
+        return buffer
 
     up, down = _ratio(src)
     n_taps = 2 * _SINC_ZERO_CROSSINGS * max(up, down) + 1
@@ -232,11 +233,9 @@ def _rir_prefix(src: int) -> int:
     floor(((RIR_LENGTH - 1)*down + half) / up); this is one less than the
     count returned. Each kept output sums the same products in the same order
     whether or not the input goes on past that prefix, so resampling the
-    prefix alone gives the same bits. At RIR_RATE no filter runs and the
-    prefix is RIR_LENGTH itself.
+    prefix alone gives the same bits. At RIR_RATE (up = down = 1) the count
+    is RIR_LENGTH + half, past what to_rir keeps, and no filter runs.
     """
-    if src == RIR_RATE:
-        return RIR_LENGTH
     up, down = _ratio(src)
     half = _SINC_ZERO_CROSSINGS * max(up, down)
     return ((RIR_LENGTH - 1) * down + half) // up + 1

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from ._fields import check_fields, parse_json, read_text
-from .audio import AudioBuffer, RIR_RATE, convolve, load_rir, load_wav, resample, save_wav
+from .audio import AudioBuffer, convolve, load_rir, load_wav, resample, save_wav
 from .corpus import RirPool, _map
 
 log = logging.getLogger(__name__)
@@ -44,6 +44,8 @@ class AugmentSpec:
 
     def __post_init__(self):
         check_fields(self)
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if not np.isfinite(self.snr_range).all():
             raise ValueError("snr_range must be finite")
         lo, hi = self.snr_range
@@ -84,17 +86,15 @@ class MixRecord:
         return json.dumps(asdict(self))
 
 
-def looped_noise(noise: AudioBuffer, k: int, length: int) -> AudioBuffer | None:
+def looped_noise(noise: AudioBuffer, k: int, length: int) -> AudioBuffer:
     """Circular slice: output[i] = noise[(k + i) mod len(noise)].
 
     The output is filled by slice copies: noise[k:], then whole loops of
-    noise, then the head that is left. length 0 yields None (AudioBuffer
-    cannot be empty)."""
+    noise, then the head that is left. length 0 is a ValueError, as an
+    AudioBuffer cannot be empty."""
     n = len(noise)
     if not 0 <= k < n:
         raise ValueError(f"offset k={k} out of range [0, {n})")
-    if length == 0:
-        return None
     src = noise.samples
     out = np.empty(length, dtype=src.dtype)
     pos = min(length, n - k)
@@ -145,20 +145,19 @@ def mix(clean: AudioBuffer, rir: AudioBuffer, noise: AudioBuffer,
 
 
 def read_clean_manifest(path: str | Path) -> list[tuple[str, str]]:
-    """CSV `utt_id,path` (header optional, # comments skipped). A line with
-    no path is a ValueError naming the file and the line."""
+    """CSV `utt_id,path` (# comments skipped). Its first row that is not a
+    comment is skipped when it is the header utt_id,path. A line with no path
+    is a ValueError naming the file and the line."""
     rows = []
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         utt_id, _, p = line.partition(",")
-        if utt_id == "utt_id" and p == "path":
-            continue
         if not p:
             raise ValueError(f"{path}: line {lineno}: bad manifest line {line!r}")
         rows.append((utt_id, p))
-    return rows
+    return rows[1:] if rows[:1] == [("utt_id", "path")] else rows
 
 
 def write_manifest(records: Sequence[MixRecord], path: str | Path) -> None:
@@ -192,7 +191,7 @@ def _load_at_rir_rate(path: str) -> AudioBuffer:
     """A WAV at RIR_RATE; a resampling ValueError is prefixed with the path."""
     buf = load_wav(path)
     try:
-        return resample(buf) if buf.sample_rate != RIR_RATE else buf
+        return resample(buf)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

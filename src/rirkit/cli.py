@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "far-field speech augmentation.",
     )
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the rng seed from configs")
+                        help="override the rng seed from configs (>= 0)")
     parser.add_argument("--out-dir", type=Path, default=Path("."),
                         help="directory for output artifacts")
     parser.add_argument("--threads", type=int, default=1,
@@ -78,14 +78,15 @@ def _load_json(path: Path | None) -> dict:
 
 
 def _from_config(cls, cfg: dict, path: Path | None, seed: int | None):
-    """cls(**cfg), with --seed (when given) overriding rng_seed; an unknown key
-    or a mistyped value is reported as bad input."""
+    """cls(**cfg), with --seed (when given) overriding rng_seed; an unknown key,
+    a mistyped value or one out of its range is reported as bad input naming
+    the config file, when there is one."""
     if seed is not None:
         cfg = {**cfg, "rng_seed": seed}
     try:
         return cls(**cfg)
-    except TypeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}" if path else str(exc)) from exc
 
 
 def _cmd_analyze(args) -> int:
@@ -183,7 +184,7 @@ def _cmd_split(args) -> int:
         raise ValueError(f"--sizes needs three comma-separated counts, got {args.sizes!r}")
     sizes = tuple(int(s) for s in sizes)
     seed = args.seed if args.seed is not None else 0
-    parts = corpus.split(pool, corpus.SplitSpec(sizes, seed))
+    parts = corpus.split(pool, sizes, seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in zip(("train", "dev", "test"), parts):
         out = args.out_dir / f"{name}.csv"
@@ -216,13 +217,13 @@ def _cmd_compose(args) -> int:
 
 def _cmd_validate(args) -> int:
     pool = corpus.read_pool_csv(args.pool)
-    report = corpus.validate_pool(pool, threads=args.threads)
-    counts = ", ".join(f"{k}:{v}" for k, v in sorted(report.source_counts.items()))
-    print(f"checked {report.checked} entries ({counts})")
-    for rid, problem in report.findings:
+    findings = corpus.validate_pool(pool, threads=args.threads)
+    counts = ", ".join(f"{k}:{v}" for k, v in sorted(pool.source_counts().items()))
+    print(f"checked {len(pool)} entries ({counts})")
+    for rid, problem in findings:
         print(f"  {rid}: {problem}")
-    print("OK" if report.ok else f"{len(report.findings)} problem(s)")
-    return 0 if report.ok else 1
+    print(f"{len(findings)} problem(s)" if findings else "OK")
+    return 1 if findings else 0
 
 
 _COMMANDS = {
@@ -241,6 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        if args.seed is not None and args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (OSError, ValueError, TrainingDivergedError) as exc:  # bad input, or diverged
         print(f"error: {exc}", file=sys.stderr)

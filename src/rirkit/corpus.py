@@ -1,5 +1,5 @@
 """RIR pool bookkeeping: CSV-backed pools with source tags, seeded splits,
-composable mixtures, and a validation report.
+composable mixtures, and validation findings.
 
 Pool files are CSV `id,source,path` (comment lines start with #). Split
 outputs carry a provenance header recording the seed and sizes.
@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from ._fields import check_fields, read_text, write_csv
+from ._fields import read_text, write_csv
 
 
 @dataclass(frozen=True)
@@ -40,33 +41,22 @@ class RirPool:
         return len(self.entries)
 
     def source_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for e in self.entries:
-            counts[e.source] = counts.get(e.source, 0) + 1
-        return counts
+        return dict(Counter(e.source for e in self.entries))
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    sizes: tuple[int, int, int]
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        check_fields(self)
-        if any(s < 0 for s in self.sizes):
-            raise ValueError("split sizes must be non-negative")
-
-
-def split(pool: RirPool, spec: SplitSpec) -> tuple[RirPool, RirPool, RirPool]:
+def split(pool: RirPool, sizes: Sequence[int], rng_seed: int = 0
+          ) -> tuple[RirPool, RirPool, RirPool]:
     """Seeded uniform shuffle, then partition into (train, dev, test).
 
-    Sizes must sum to the pool size; the three parts are disjoint and
-    exhaustive, and identical for identical seeds.
+    The three sizes must be non-negative and sum to the pool size; the three
+    parts are disjoint and exhaustive, and identical for identical seeds.
     """
-    a, b, c = spec.sizes
+    a, b, c = sizes
+    if min(a, b, c) < 0:
+        raise ValueError("split sizes must be non-negative")
     if a + b + c != len(pool):
-        raise ValueError(f"sizes {spec.sizes} do not sum to pool size {len(pool)}")
-    rng = np.random.default_rng(spec.rng_seed)
+        raise ValueError(f"sizes {tuple(sizes)} do not sum to pool size {len(pool)}")
+    rng = np.random.default_rng(rng_seed)
     order = rng.permutation(len(pool))
     shuffled = [pool.entries[i] for i in order]
     return (RirPool(shuffled[:a]), RirPool(shuffled[a : a + b]), RirPool(shuffled[a + b :]))
@@ -85,17 +75,6 @@ def compose_pool(parts: Sequence[tuple[RirPool, int]], rng_seed: int = 0) -> Rir
     return RirPool(entries)
 
 
-@dataclass
-class ValidationReport:
-    checked: int = 0
-    source_counts: dict[str, int] = field(default_factory=dict)
-    findings: list[tuple[str, str]] = field(default_factory=list)  # (id, problem)
-
-    @property
-    def ok(self) -> bool:
-        return not self.findings
-
-
 def _map(fn, items, threads: int) -> list:
     """[fn(x) for x in items], in order: on the caller's thread at threads=1
     (a pool thread would get its own malloc arena), else on a pool of that
@@ -106,16 +85,16 @@ def _map(fn, items, threads: int) -> list:
         return list(tp.map(fn, items))
 
 
-def validate_pool(pool: RirPool, threads: int = 1) -> ValidationReport:
+def validate_pool(pool: RirPool, threads: int = 1) -> list[tuple[str, str]]:
     """Check id uniqueness, file existence, and loadability as a canonical
-    RIR. Non-fatal: everything lands in the findings list."""
+    RIR. Non-fatal: every problem is returned as an (id, problem) finding,
+    duplicate ids first; an empty list means the pool is sound."""
     from .audio import load_rir
 
-    report = ValidationReport(checked=len(pool), source_counts=pool.source_counts())
-    seen: set[str] = set()
+    findings, seen = [], set()
     for e in pool.entries:
         if e.id in seen:
-            report.findings.append((e.id, "duplicate id"))
+            findings.append((e.id, "duplicate id"))
         seen.add(e.id)
 
     def check(e: PoolEntry):
@@ -128,8 +107,8 @@ def validate_pool(pool: RirPool, threads: int = 1) -> ValidationReport:
             return (e.id, f"not loadable as RIR: {exc}")
         return None
 
-    report.findings.extend(r for r in _map(check, pool.entries, threads) if r is not None)
-    return report
+    findings.extend(r for r in _map(check, pool.entries, threads) if r is not None)
+    return findings
 
 
 def read_pool_csv(path: str | Path) -> RirPool:

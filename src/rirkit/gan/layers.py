@@ -160,14 +160,11 @@ class _Conv(Layer):
 class Conv1d(_Conv):
     """Strided 1-D convolution, SAME padding; input length must divide the stride."""
 
-    def _wm(self):
-        return self.params["W"].transpose(1, 0, 2).reshape(self.c_in * self.kernel, self.c_out)
-
     def forward(self, x):
         b, t, _ = x.shape
         v = _gather(x, self.kernel, self.stride)  # (b * t_out, c_in * k)
         self._ctx = v
-        y = v @ self._wm()
+        y = v @ self.params["W"].transpose(1, 0, 2).reshape(self.c_in * self.kernel, self.c_out)
         y += self.params["b"]
         return y.reshape(b, t // self.stride, self.c_out)
 

@@ -50,7 +50,6 @@ class _Net:
     def __init__(self, d: int, dtype):
         if d < 1:
             raise ValueError("model-size multiplier d must be >= 1")
-        self.d = d
         self.dtype = np.dtype(dtype)
         self._stack: list[Layer] = []
         self._layers: dict[str, Layer] = {}  # parameter layers in stack order

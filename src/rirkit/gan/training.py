@@ -47,8 +47,8 @@ class TrainConfig:
         check_fields(self)
         if self.steps < 1 or self.batch_size < 1 or self.n_critic < 1 or self.d < 1:
             raise ValueError("steps, batch_size, n_critic and d must all be >= 1")
-        if self.shuffle_radius < 0:
-            raise ValueError("shuffle_radius must be >= 0")
+        if self.shuffle_radius < 0 or self.rng_seed < 0:
+            raise ValueError("shuffle_radius and rng_seed must be >= 0")
         if not self.clip_c > 0:
             raise ValueError("clip_c must be > 0")
         if not self.learning_rate > 0:

@@ -51,6 +51,8 @@ class SamplerConfig:
             raise ValueError("bins_per_param must be >= 2")
         if self.max_tries_per_sample < 1:
             raise ValueError("max_tries_per_sample must be >= 1")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from rirkit.acoustics import EstimationError, analyze, estimate_cte, estimate_ed
 from rirkit.audio import AudioBuffer, RIR_LENGTH, RIR_RATE, Rir, convolve, load_wav, save_wav
 from rirkit.augment import AugmentSpec, augment_corpus, compute_alpha, looped_noise, mix, read_manifest
 from rirkit.cli import main as cli_main
-from rirkit.corpus import PoolEntry, RirPool, SplitSpec, compose_pool, split, write_pool_csv
+from rirkit.corpus import PoolEntry, RirPool, compose_pool, split, write_pool_csv
 from rirkit.gan.nets import Critic, Generator, sample_latent
 from rirkit.gan.training import TrainConfig, train
 from rirkit.sampler import SamplerConfig, build_histograms, generate_constrained
@@ -305,7 +305,7 @@ def test_c6_snr_fidelity(tmp_path):
 def test_c7_dataset_accounting():
     pool = RirPool(tuple(PoolEntry(f"but{i:04d}", "BUT", f"/x/{i}.wav")
                          for i in range(1209)))
-    tr, dev, te = split(pool, SplitSpec((773, 194, 242), rng_seed=11))
+    tr, dev, te = split(pool, (773, 194, 242), rng_seed=11)
     sizes_ok = (len(tr), len(dev), len(te)) == (773, 194, 242)
     ids = [set(_ids(p)) for p in (tr, dev, te)]
     disjoint_ok = (not (ids[0] & ids[1]) and not (ids[0] & ids[2])
@@ -373,8 +373,8 @@ def test_c8_determinism(gen_training, tmp_path):
 
     # split: identical partitions
     pool = RirPool(tuple(PoolEntry(f"p{i}", "BUT", f"/x/{i}.wav") for i in range(50)))
-    s1 = split(pool, SplitSpec((30, 10, 10), rng_seed=3))
-    s2 = split(pool, SplitSpec((30, 10, 10), rng_seed=3))
+    s1 = split(pool, (30, 10, 10), rng_seed=3)
+    s2 = split(pool, (30, 10, 10), rng_seed=3)
     split_ok = [_ids(p) for p in s1] == [_ids(p) for p in s2]
 
     ok = train_ok and gen_ok and aug_ok and split_ok

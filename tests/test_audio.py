@@ -186,8 +186,7 @@ class TestSaveWav:
 class TestResample:
     def test_identity_when_rates_match(self):
         buf = AudioBuffer(np.float32([0.1, -0.2, 0.3]), 16000)
-        out = resample(buf)
-        np.testing.assert_array_equal(out.samples, buf.samples)
+        assert resample(buf) is buf  # returned as it is, not copied
 
     def test_sine_48k_to_16k(self):
         t = np.arange(4800) / 48000.0

@@ -44,7 +44,8 @@ class TestLoopedNoise:
         np.testing.assert_array_equal(out.samples, [1, 2, 3])
 
     def test_zero_length(self):
-        assert looped_noise(buf([1, 2, 3]), k=0, length=0) is None
+        with pytest.raises(ValueError, match="non-empty"):
+            looped_noise(buf([1, 2, 3]), k=0, length=0)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -295,6 +296,11 @@ class TestManifests:
         p.write_text("utt_id,path\n# a comment\nu1,/x/a.wav\nu2,/x/b.wav\n")
         rows = read_clean_manifest(p)
         assert rows == [("u1", "/x/a.wav"), ("u2", "/x/b.wav")]
+
+    def test_clean_manifest_header_skipped_only_as_the_first_row(self, tmp_path):
+        p = tmp_path / "clean.csv"
+        p.write_text("# a comment\nutt_id,path\nutt_id,path\na,b.wav\n")
+        assert read_clean_manifest(p) == [("utt_id", "path"), ("a", "b.wav")]
 
     def test_clean_manifest_bad_line_names_the_line(self, tmp_path):
         p = tmp_path / "clean.csv"

@@ -295,6 +295,27 @@ BAD_INPUTS = {
                                            "lr": 0.1})],
     "train steps not an integer": lambda ws, tmp: [
         "train", "--config", _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1.5})],
+    "train steps zero": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 0})],
+    "train rng_seed negative": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1,
+                                           "rng_seed": -1})],
+    "seed negative before train": lambda ws, tmp: [
+        "--seed", "-1", "train", "--config",
+        _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1})],
+    "seed negative before split": lambda ws, tmp: [
+        "--seed", "-1", "split", "--pool", str(ws / "rirs.csv"), "--sizes", "4,1,1"],
+    "seed negative before compose": lambda ws, tmp: [
+        "--seed", "-1", "compose", "--pool", f"{ws / 'rirs.csv'}:2"],
+    "seed negative before augment": lambda ws, tmp: [
+        "--seed", "-1", "augment", "--clean", str(ws / "clean.csv"),
+        "--rirs", str(ws / "rirs.csv"), "--noise", str(ws / "noise.csv")],
+    "sampler rng_seed negative": lambda ws, tmp: [
+        "generate", "--model", _model(tmp), "--hist", _hist(ws, tmp), "-n", "1",
+        "--config", _config(tmp, {"rng_seed": -1})],
+    "augment rng_seed negative": lambda ws, tmp: [
+        "augment", "--clean", str(ws / "clean.csv"), "--rirs", str(ws / "rirs.csv"),
+        "--noise", str(ws / "noise.csv"), "--spec", _config(tmp, {"rng_seed": -1})],
     "hist without params": lambda ws, tmp: [
         "generate", "--model", _model(tmp), "--hist", _config(tmp, {}), "-n", "1"],
     "hist without a parameter": lambda ws, tmp: [
@@ -385,6 +406,10 @@ NAMED_FILE = {
     "train pool empty string": "config.json",
     "train pool with no entries": "pool.csv",
     "removed latent_dist key": "config.json",
+    "train steps zero": "config.json",
+    "train rng_seed negative": "config.json",
+    "sampler rng_seed negative": "config.json",
+    "augment rng_seed negative": "config.json",
     "train config nested too deeply": "config.json",
     "augment spec nested too deeply": "config.json",
     "train config not UTF-8": "config.json",
@@ -409,6 +434,13 @@ def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
     assert "Traceback" not in err
     if case in NAMED_FILE:
         assert str(tmp_path / NAMED_FILE[case]) in err
+
+
+@pytest.mark.parametrize("command", ["train", "split", "compose", "augment"])
+def test_negative_seed_refused_before_the_command_runs(workspace, tmp_path, capsys, command):
+    argv = BAD_INPUTS[f"seed negative before {command}"](workspace, tmp_path)
+    assert main(["--out-dir", str(tmp_path / "out"), *argv]) == 2
+    assert capsys.readouterr() == ("", "error: --seed must be >= 0, got -1\n")
 
 
 def test_validate_no_load_is_gone(workspace, capsys):

@@ -9,7 +9,6 @@ import pytest
 
 from rirkit._fields import check_fields
 from rirkit.augment import AugmentSpec, MixRecord
-from rirkit.corpus import SplitSpec
 from rirkit.gan.training import TrainConfig
 from rirkit.sampler import SamplerConfig
 
@@ -20,7 +19,6 @@ RECORDS = {
     AugmentSpec: {},
     MixRecord: {"utt_id": "u1", "clean_path": "/a.wav", "rir_id": "r1", "noise_id": "n1",
                 "snr": 42.0, "k": 17, "alpha": 0.25, "rescale": 1.0, "out_path": "/o.wav"},
-    SplitSpec: {"sizes": (1, 0, 0)},
 }
 
 # One wrong value per annotation kind. A field with any other annotation
@@ -53,10 +51,18 @@ def test_bool_is_not_a_number(value):
         MixRecord(**{**RECORDS[MixRecord], "snr": value})
 
 
+@dataclass
+class _Sizes:
+    sizes: tuple[int, int, int]
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 @pytest.mark.parametrize("sizes", [(1, 0), (1, 0, 0, 0), "abc", 3, None])
 def test_tuple_field_needs_a_list_of_its_length(sizes):
     with pytest.raises(TypeError, match=r"^sizes must be a list of 3 values"):
-        SplitSpec(sizes)
+        _Sizes(sizes)
 
 
 def test_unsupported_annotation_is_refused():
