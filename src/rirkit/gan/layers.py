@@ -9,9 +9,10 @@ All four convolution passes run on two kernels, which are each other's
 adjoint, and whose numpy loops walk long contiguous runs, not one window's
 s * c floats (4 to 16 on the thin layers). ``_gather`` (SAME pad, then one
 row per stride-s window) serves ``Conv1d.forward`` and
-``ConvTranspose1d.backward``. It is a pure copy, done channel-first: the input
-is written once, transposed, into a zero-padded (b, c, time) buffer, so each
-window row is copied k contiguous samples at a time. ``_overlap_add`` (add
+``ConvTranspose1d.backward``. It is a pure copy, done tap-major: the
+time-major input is written once into zero-padded flat (b, time * c) rows,
+where every window is one contiguous run of k * c floats, its columns in
+(tap, channel) order, starting every s * c floats. ``_overlap_add`` (add
 each window back at stride s, then crop the padding) serves
 ``ConvTranspose1d.forward`` and ``Conv1d.backward`` and owns their GEMM: it
 takes the inputs and the tap-major (n, k * c) weight matrix, never the
@@ -25,24 +26,43 @@ Each block GEMM keeps the full inner width n, but a narrower GEMM may take
 another BLAS kernel than one over all taps, so a block product can differ
 from the same columns of that one product in the last bit.
 
-Conv weights keep their public (kernel, c_in, c_out) shape, but each is stored
-as a C-contiguous (c_in, kernel, c_out) buffer and ``params["W"]`` is its
-transposed view. Both forward GEMMs read the weights as (c_in, kernel * c_out)
-or (c_in * kernel, c_out) matrices, which are then free views of that buffer
-instead of a copy per call (52 MB for the d=64 generator's tconv1). Only the
-storage moved: every GEMM sees the same values in the same C-contiguous
-order, so results are bit-identical; and checkpoints still hold each weight
-in (kernel, c_in, c_out) C order, so files from before load unchanged.
-Weights are updated in place (optimizer, clipping, checkpoint loads, and
-writes through the arrays ``named_params`` returns), which keeps that layout
-for the life of the layer.
+Bias passes work on long rows too. ``_add_bias`` adds the bias tiled to a
+(time, channel) block, in place, so each batch row is one long add, with the
+bits of ``y + b``. ``_bias_grad`` sums the gradient over the batch
+rows first and then over the (time, channel) remainder; it is numpy only, so
+no BLAS thread count can change its bits.
+
+Conv weights keep their public (kernel, c_in, c_out) shape, and each layer
+type stores them so that its GEMMs read free views, never a copy per call:
+- ``Conv1d``: a plain C-contiguous (kernel, c_in, c_out) array. Its forward
+  matrix (kernel * c_in, c_out), its weight gradient and the transpose of
+  that matrix, which ``_overlap_add`` takes for the input gradient, are all
+  views (the copy this saves is 52 MB at the d=64 critic's conv5).
+- ``ConvTranspose1d``: a C-contiguous (c_in, kernel, c_out) buffer, and
+  ``params["W"]`` is its transposed view. Its forward reads the buffer as
+  the (c_in, kernel * c_out) matrix and its backward GEMM reads that
+  matrix's transpose; its weight gradient is the same transposed view of a
+  GEMM result.
+Checkpoints hold each weight in (kernel, c_in, c_out) C order, so files from
+before load unchanged. Weights are updated in place (optimizer, clipping,
+checkpoint loads, and writes through the arrays ``named_params`` returns),
+which keeps each layout for the life of the layer.
+
+Where the bits moved: tap-major windows reorder the inner sum of
+``Conv1d.forward``'s GEMM and of ``ConvTranspose1d.backward``'s input
+gradient, and the bias gradients sum in a new order, so training results
+differ in the last bits from those of the channel-first kernels. Every
+generator forward (``_overlap_add``, then the bias add) gives the same bits
+as before.
 
 Gradients are assigned (not accumulated) on each backward call; every layer
 keeps the forward activations it needs, so backward without a prior forward
-raises RuntimeError. ``Dense`` and ``Conv1d``, the first parameter layers of
-the two nets, take ``input_grad=False`` to compute only their parameter
-gradients. Layers never write to their input or to the incoming gradient:
-bias adds and other in-place steps touch only buffers the layer just made.
+raises RuntimeError. ``Conv1d`` keeps its window matrix, and its next
+forward of the same shape rewrites that buffer in place. ``Dense`` and
+``Conv1d``, the first parameter layers of the two nets, take
+``input_grad=False`` to compute only their parameter gradients. Layers never
+write to their input or to the incoming gradient: bias adds and other
+in-place steps touch only buffers the layer made.
 """
 
 from __future__ import annotations
@@ -61,18 +81,23 @@ def glorot_uniform(rng: np.random.Generator | None, shape, fan_in, fan_out, dtyp
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
 
 
-def _gather(x: np.ndarray, k: int, s: int) -> np.ndarray:
-    """(b, t, c) -> contiguous (b * t/s, c * k): the k-sample window of every
-    output step of a SAME-padded stride-s convolution, channel-major, copied
-    from a zero-padded channel-first (b, c, t + k - s) copy of x."""
+def _gather(x: np.ndarray, k: int, s: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(b, t, c) -> contiguous (b * t/s, k * c): the k-sample window of every
+    output step of a SAME-padded stride-s convolution, tap-major. x is padded
+    along time into flat (b, (t + k - s) * c) rows, where each window is one
+    contiguous run of k * c floats starting every s * c. The windows are
+    written into out when it is an array of that shape and x's dtype."""
     b, t, c = x.shape
     if t % s != 0:
         raise ValueError(f"input length {t} not divisible by stride {s}")
     pl = (k - s) // 2
-    xp = np.zeros((b, c, t + k - s), dtype=x.dtype)
-    xp[:, :, pl : pl + t] = x.transpose(0, 2, 1)
-    v = sliding_window_view(xp, k, axis=2)[:, :, ::s]  # (b, c, t/s, k)
-    return np.ascontiguousarray(v.transpose(0, 2, 1, 3)).reshape(b * (t // s), c * k)
+    xp = np.zeros((b, (t + k - s) * c), dtype=x.dtype)
+    xp.reshape(b, t + k - s, c)[:, pl : pl + t] = x
+    v = sliding_window_view(xp, k * c, axis=1)[:, :: s * c]  # (b, t/s, k * c)
+    if out is None or out.shape != (b * (t // s), k * c) or out.dtype != x.dtype:
+        return np.ascontiguousarray(v).reshape(b * (t // s), k * c)
+    np.copyto(out.reshape(v.shape), v)
+    return out
 
 
 def _overlap_add(a: np.ndarray, wm: np.ndarray, k: int, s: int) -> np.ndarray:
@@ -91,6 +116,21 @@ def _overlap_add(a: np.ndarray, wm: np.ndarray, k: int, s: int) -> np.ndarray:
         full[:, m : m + t, : w * c] += block.reshape(b, t, w * c)
     crop = (k - s) // 2
     return full.reshape(b, (t + nb - 1) * s, c)[:, crop : crop + t * s, :]
+
+
+def _add_bias(y: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """(b, t, c) y += bias, in place, returning y, with the bits of y + bias:
+    the bias tiled to a (t, c) block, so that each batch row is one long add
+    wherever y's (t, c) block is one strided run (as in the cropped
+    ``_overlap_add`` output), not t adds of c floats."""
+    y += np.tile(bias, (y.shape[1], 1))
+    return y
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    """(b, ..., c) -> (c,): g summed over every axis but the last, the batch
+    rows first as long rows, then the (t, c) remainder."""
+    return g.reshape(g.shape[0], -1).sum(axis=0).reshape(-1, g.shape[-1]).sum(axis=0)
 
 
 def _skipped_input_grad(shape, dtype) -> np.ndarray:
@@ -142,18 +182,22 @@ class Dense(Layer):
 
 
 class _Conv(Layer):
-    """Weights (kernel, c_in, c_out), a view of their (c_in, kernel, c_out)
-    storage (see the module docstring), and bias (c_out) of a strided
+    """Weights (kernel, c_in, c_out), stored with their axes in ``_storage``
+    order (see the module docstring), and bias (c_out) of a strided
     convolution."""
+
+    _storage = (0, 1, 2)
 
     def __init__(self, c_in: int, c_out: int, kernel: int, stride: int,
                  rng: np.random.Generator | None, dtype=np.float32):
         super().__init__()
         self.c_in, self.c_out, self.kernel, self.stride = c_in, c_out, kernel, stride
-        fan = kernel * c_in, kernel * c_out
-        self.params["W"] = w = np.zeros((c_in, kernel, c_out), dtype).transpose(1, 0, 2)
+        shape = (kernel, c_in, c_out)
+        order = self._storage
+        w = np.zeros([shape[a] for a in order], dtype).transpose(np.argsort(order))
         if rng is not None:  # drawn in (kernel, c_in, c_out) order
-            w[...] = glorot_uniform(rng, w.shape, *fan, dtype)
+            w[...] = glorot_uniform(rng, shape, kernel * c_in, kernel * c_out, dtype)
+        self.params["W"] = w
         self.params["b"] = np.zeros(c_out, dtype=dtype)
 
 
@@ -162,47 +206,49 @@ class Conv1d(_Conv):
 
     def forward(self, x):
         b, t, _ = x.shape
-        v = _gather(x, self.kernel, self.stride)  # (b * t_out, c_in * k)
+        # backward reads only the last forward's windows, so the previous
+        # ones are rewritten in place: a fresh buffer (6.5 MB at conv1, batch
+        # 16) faults its pages in anew, which made that copy 1.5x slower
+        # inside training
+        v = _gather(x, self.kernel, self.stride, out=self._ctx)  # (b * t_out, k * c_in)
         self._ctx = v
-        y = v @ self.params["W"].transpose(1, 0, 2).reshape(self.c_in * self.kernel, self.c_out)
-        y += self.params["b"]
-        return y.reshape(b, t // self.stride, self.c_out)
+        y = v @ self.params["W"].reshape(-1, self.c_out)
+        return _add_bias(y.reshape(b, t // self.stride, self.c_out), self.params["b"])
 
     def backward(self, gy, param_grads=True, input_grad=True):
         v = self._require_ctx()
         b, t_out, _ = gy.shape
-        k = self.kernel
-        g2 = gy.reshape(b * t_out, self.c_out)
+        w = self.params["W"]
         if param_grads:
-            gw = v.T @ g2
-            self.grads["W"] = gw.reshape(self.c_in, k, self.c_out).transpose(1, 0, 2)
-            self.grads["b"] = g2.sum(axis=0)
+            gw = v.T @ gy.reshape(b * t_out, self.c_out)
+            self.grads["W"] = gw.reshape(w.shape)
+            self.grads["b"] = _bias_grad(gy)
         if not input_grad:
             return _skipped_input_grad((b, t_out * self.stride, self.c_in), gy.dtype)
-        wk = self.params["W"].reshape(k * self.c_in, self.c_out)
-        return _overlap_add(gy, wk.T, k, self.stride)
+        return _overlap_add(gy, w.reshape(-1, self.c_out).T, self.kernel, self.stride)
 
 
 class ConvTranspose1d(_Conv):
     """Strided 1-D transposed convolution producing stride * input_length samples."""
 
+    _storage = (1, 0, 2)
+
     def forward(self, x):
-        wm = self.params["W"].transpose(1, 0, 2).reshape(self.c_in, self.kernel * self.c_out)
+        wm = self.params["W"].transpose(1, 0, 2).reshape(self.c_in, -1)  # (c_in, k * c_out)
         self._ctx = x
-        y = _overlap_add(x, wm, self.kernel, self.stride)
-        y += self.params["b"]
-        return y
+        return _add_bias(_overlap_add(x, wm, self.kernel, self.stride), self.params["b"])
 
     def backward(self, gy, param_grads=True):
         x = self._require_ctx()
         b, t, _ = x.shape
         k = self.kernel
-        v = _gather(gy, k, self.stride)  # (b * t, c_out * k)
-        gx = v @ self.params["W"].transpose(2, 0, 1).reshape(self.c_out * k, self.c_in)
+        wm = self.params["W"].transpose(1, 0, 2).reshape(self.c_in, -1)
+        v = _gather(gy, k, self.stride)  # (b * t, k * c_out)
+        gx = v @ wm.T
         if param_grads:
             gw = x.reshape(b * t, self.c_in).T @ v
-            self.grads["W"] = gw.reshape(self.c_in, self.c_out, k).transpose(2, 0, 1)
-            self.grads["b"] = gy.sum(axis=(0, 1))
+            self.grads["W"] = gw.reshape(self.c_in, k, self.c_out).transpose(1, 0, 2)
+            self.grads["b"] = _bias_grad(gy)
         return gx.reshape(b, t, self.c_in)
 
 

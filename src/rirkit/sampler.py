@@ -93,8 +93,8 @@ class Histogram:
 
     def bin_index(self, value: float) -> int | None:
         """Index of the bin holding value (right edge closes the last bin),
-        or None when the value is outside the histogram range."""
-        if value < self.edges[0] or value > self.edges[-1]:
+        or None when the value is outside the histogram range or NaN."""
+        if not self.edges[0] <= value <= self.edges[-1]:
             return None
         idx = int(np.searchsorted(self.edges, value, side="right")) - 1
         return min(idx, self.counts.size - 1)
@@ -105,9 +105,9 @@ class Histogram:
 
     def distance_to_support(self, value: float) -> float:
         """Distance from value to the nearest occupied bin interval (0 when
-        inside one)."""
+        inside one); inf for NaN, which lies in no interval."""
         occupied = np.nonzero(self.counts > 0)[0]
-        if occupied.size == 0:
+        if occupied.size == 0 or np.isnan(value):
             return np.inf
         lo = self.edges[occupied]
         hi = self.edges[occupied + 1]

@@ -123,10 +123,11 @@ def _conv_weights(net):
     return [arr for _, pname, arr in net.named_params() if pname == "W" and arr.ndim == 3]
 
 
-def _in_gemm_layout(w):
-    """(kernel, c_in, c_out) weights whose (c_in, kernel, c_out) view is the
-    C-contiguous buffer both forward GEMMs read without a copy."""
-    return w.transpose(1, 0, 2).flags.c_contiguous
+def _in_gemm_layout(w, net):
+    """(kernel, c_in, c_out) weights stored so that every GEMM reads them as a
+    free view: C-contiguous for a critic's Conv1d, and for a generator's
+    ConvTranspose1d a C-contiguous (c_in, kernel, c_out) buffer."""
+    return (w if isinstance(net, Critic) else w.transpose(1, 0, 2)).flags.c_contiguous
 
 
 class TestWeightLayout:
@@ -140,7 +141,7 @@ class TestWeightLayout:
         for net in (model.generator, model.critic, loaded.generator, loaded.critic):
             weights = _conv_weights(net)
             assert len(weights) == 5
-            assert all(_in_gemm_layout(w) for w in weights)
+            assert all(_in_gemm_layout(w, net) for w in weights)
 
     def test_set_param_and_updates_keep_layout_and_arrays(self):
         rng = np.random.default_rng(7)
@@ -150,7 +151,7 @@ class TestWeightLayout:
 
             def unchanged():
                 weights = _conv_weights(net)
-                return (len(weights) == 5 and all(_in_gemm_layout(w) for w in weights)
+                return (len(weights) == 5 and all(_in_gemm_layout(w, net) for w in weights)
                         and all(a is b for a, b in zip(net.param_arrays(), arrays)))
 
             for _, _, arr in net.named_params():
@@ -166,6 +167,23 @@ class TestWeightLayout:
                 clip_weights(net, 0.01)
                 assert all(np.max(np.abs(a)) <= 0.01 for a in arrays)
                 assert unchanged()
+
+    def test_conv1d_backward_reads_weights_without_a_copy(self, monkeypatch):
+        """The input gradient's (c_out, kernel * c_in) weight matrix is a view
+        of the stored weights, not a copy (52 MB at d=64 conv5)."""
+        rng = np.random.default_rng(8)
+        layer = Conv1d(4, 8, kernel=25, stride=4, rng=rng)
+        seen, real = [], layers._overlap_add
+
+        def overlap_add(a, wm, k, s):
+            seen.append(wm)
+            return real(a, wm, k, s)
+
+        monkeypatch.setattr(layers, "_overlap_add", overlap_add)
+        layer.forward(rng.standard_normal((2, 64, 4)).astype(np.float32))
+        layer.backward(rng.standard_normal((2, 16, 8)).astype(np.float32))
+        assert len(seen) == 1 and np.shares_memory(seen[0], layer.params["W"])
+        assert layer.grads["W"].flags.c_contiguous  # walked in the weights' order
 
 
 class TestShapes:
@@ -248,17 +266,24 @@ class TestKernelReferences:
 
 # Reference kernels: the np.pad + sliding-window gather, the tap-by-tap
 # overlap-add, Conv1d.backward with its input gradient always computed, the
-# index-map gather and np.add.at scatter of PhaseShuffle, the np.where
-# activations and RMSProp on fresh temporaries. The layers must give the same
-# bits, because each output sums the same terms in the same order.
+# plain broadcast bias add, the index-map gather and np.add.at scatter of
+# PhaseShuffle, the np.where activations and RMSProp on fresh temporaries. The
+# layers must give the same bits, because each output sums the same terms in
+# the same order.
 
-def _ref_gather(x, k, s):
-    """SAME pad along time, then one (c, k) window per stride-s step."""
+def _ref_gather(x, k, s, out=None):
+    """SAME pad along time, then one (k, c) window per stride-s step, always
+    in a new array."""
     b, t, c = x.shape
     pl = (k - s) // 2
     xp = np.pad(x, ((0, 0), (pl, k - s - pl), (0, 0)))
     v = sliding_window_view(xp, k, axis=1)[:, ::s]  # (b, t/s, c, k)
-    return np.ascontiguousarray(v).reshape(b * (t // s), c * k)
+    return np.ascontiguousarray(v.transpose(0, 1, 3, 2)).reshape(b * (t // s), k * c)
+
+
+def _ref_add_bias(y, bias):
+    y += bias
+    return y
 
 
 def _ref_overlap_add(contrib, s, dtype):
@@ -287,17 +312,17 @@ def _ref_overlap_add_gemm(a, wm, k, s):
 
 
 def _ref_conv1d_backward(self, gy, param_grads=True, input_grad=True):
-    """Conv1d.backward with the block products added tap by tap; it computes
-    the input gradient whatever input_grad says."""
+    """Conv1d.backward with the block products added tap by tap and the bias
+    gradient summed over the batch, then over time; it computes the input
+    gradient whatever input_grad says."""
     v = self._require_ctx()
     b, t_out, _ = gy.shape
     k = self.kernel
-    g2 = gy.reshape(b * t_out, self.c_out)
     if param_grads:
-        gw = v.T @ g2
-        self.grads["W"] = gw.reshape(self.c_in, k, self.c_out).transpose(1, 0, 2)
-        self.grads["b"] = g2.sum(axis=0)
-    wk = self.params["W"].reshape(k * self.c_in, self.c_out)
+        gw = v.T @ gy.reshape(b * t_out, self.c_out)
+        self.grads["W"] = gw.reshape(k, self.c_in, self.c_out)
+        self.grads["b"] = gy.sum(axis=0).sum(axis=0)
+    wk = np.ascontiguousarray(self.params["W"]).reshape(k * self.c_in, self.c_out)
     return _ref_overlap_add_gemm(gy, wk.T, k, self.stride)
 
 
@@ -460,6 +485,45 @@ class TestKernelEquivalence:
         assert np.array_equal(gx, ref)
         assert all(np.array_equal(grads[n], layer.grads[n]) for n in grads)
 
+    def test_conv1d_rewrites_its_windows_in_place(self):
+        """A second forward of the same shape writes its windows into the
+        first one's buffer, and backward then sees only the second input."""
+        rng = np.random.default_rng(12)
+        layer, fresh = (Conv1d(4, 8, kernel=25, stride=4, rng=np.random.default_rng(3))
+                        for _ in range(2))
+        x1, x2 = (rng.standard_normal((2, 64, 4)).astype(np.float32) for _ in range(2))
+        g = rng.standard_normal((2, 16, 8)).astype(np.float32)
+        layer.forward(x1)
+        first = layer._ctx
+        assert np.array_equal(layer.forward(x2), fresh.forward(x2))
+        assert layer._ctx is first
+        assert np.array_equal(layer.backward(g), fresh.backward(g))
+        assert all(np.array_equal(layer.grads[n], fresh.grads[n]) for n in ("W", "b"))
+        layer.forward(x2[:1])  # another shape: a new buffer
+        assert layer._ctx is not first and layer._ctx.shape == (16, 100)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cropped", [False, True], ids=["contiguous", "cropped"])
+    def test_add_bias_bits_match_plain_add(self, dtype, cropped):
+        """Every special value of y meets every special bias value (and the
+        random tail of y meets them too); the add lands in the array given."""
+        x, g = _special_pairs(dtype)
+        c = 18
+        bias = g[:c]  # the special values, in the order x repeats them
+        y = x[: x.size // (2 * c) * 2 * c].reshape(2, -1, c)
+        if cropped:  # ConvTranspose1d's output: the SAME crop of the full overlap-add
+            t = y.shape[1] // 4
+            out = layers._overlap_add(np.zeros((2, t, 3), dtype), np.zeros((3, 25 * c), dtype),
+                                      25, 4)
+            assert not out.flags.c_contiguous and out.shape == y.shape
+            out[...] = y
+        else:
+            out = y.copy()
+        with np.errstate(over="ignore", invalid="ignore"):  # max + max, inf - inf
+            want = y + bias
+            assert layers._add_bias(out, bias) is out
+        assert np.array_equal(_bits(out), _bits(want))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("t", [1, 2, 3, 4, 7, 30])
     def test_phase_shuffle_backward_matches_scatter(self, t, dtype):
@@ -527,6 +591,7 @@ class TestKernelEquivalence:
         for owner, attr, ref in [
             (layers, "_gather", _ref_gather),
             (layers, "_overlap_add", _ref_overlap_add_gemm),
+            (layers, "_add_bias", _ref_add_bias),
             (layers.Conv1d, "backward", _ref_conv1d_backward),
             (layers.PhaseShuffle, "forward", _ref_phase_shuffle_forward),
             (layers.PhaseShuffle, "backward", _ref_phase_shuffle_backward),

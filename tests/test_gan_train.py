@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -205,6 +210,32 @@ class TestTrainLoop:
         assert (tmp_path / "checkpoint_000002.gan").exists()
         assert (tmp_path / "checkpoint_000004.gan").exists()
         assert (tmp_path / "checkpoint_final.gan").exists()
+
+    def test_bits_do_not_depend_on_blas_threads(self, tmp_path):
+        """d=2 training in fresh processes with one and two OpenBLAS threads
+        writes the same checkpoints and training_log.csv, byte for byte."""
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from rirkit.gan.training import TrainConfig, train\n"
+            "rng = np.random.default_rng(0)\n"
+            "data = rng.standard_normal((16, 16384)) * np.exp(-np.arange(16384) / 2000)\n"
+            "train(data, TrainConfig(steps=3, batch_size=8, d=2, rng_seed=5,\n"
+            "                        checkpoint_every=2), out_dir=sys.argv[1])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            run = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert sorted(outputs[0]) == ["checkpoint_000002.gan", "checkpoint_final.gan",
+                                      "training_log.csv"]
+        assert outputs[0] == outputs[1]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -129,6 +129,15 @@ class TestHistogramPrimitives:
         assert h.bin_index(-0.1) is None
         assert h.bin_index(0.5) == 0
 
+    def test_nan_is_out_of_range(self):
+        """A NaN lies in no bin and at no finite distance from one, so accept
+        neither passes it nor treats it as relaxable."""
+        h = Histogram(np.array([0.0, 1.0, 2.0]), np.array([1, 1]))
+        for nan in (float("nan"), np.float32("nan"), -np.float64("nan")):
+            assert h.bin_index(nan) is None
+            assert not h.in_support(nan)
+            assert h.distance_to_support(nan) == np.inf
+
     def test_io_round_trip(self, tmp_path):
         hists = uniform_hists()
         p = tmp_path / "h.json"
