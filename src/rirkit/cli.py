@@ -129,8 +129,8 @@ def _cmd_train(args) -> int:
         raise ValueError(f"{pool_path}: pool has no entries")
     config = _from_config(TrainConfig, cfg, args.config, args.seed)
     dataset = [load_rir(e.path) for e in pool.entries]
-    result = train(dataset, config, out_dir=args.out_dir)
-    last = result.log[-1]
+    state = train(dataset, config, out_dir=args.out_dir)
+    last = state.log[-1]
     print(f"trained {config.steps} generator steps "
           f"({config.steps * config.n_critic} critic updates); final wasserstein "
           f"estimate {last.wasserstein_estimate:.4f}")
@@ -180,7 +180,7 @@ def _cmd_augment(args) -> int:
 def _cmd_split(args) -> int:
     pool = corpus.read_pool_csv(args.pool)
     sizes = args.sizes.split(",")
-    if len(sizes) != 3 or not all(s.strip().isdigit() for s in sizes):
+    if len(sizes) != 3 or not all(s.strip().isdecimal() for s in sizes):
         raise ValueError(f"--sizes needs three comma-separated counts, got {args.sizes!r}")
     sizes = tuple(int(s) for s in sizes)
     seed = args.seed if args.seed is not None else 0
@@ -199,7 +199,7 @@ def _cmd_compose(args) -> int:
     parts = []
     for item in args.pool:
         path, _, count = item.rpartition(":")
-        if not path or not count.strip().isdigit():
+        if not path or not count.strip().isdecimal():
             raise ValueError(f"--pool needs CSV:COUNT, got {item!r}")
         pool, count = corpus.read_pool_csv(path), int(count)
         if count > len(pool):

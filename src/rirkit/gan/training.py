@@ -1,5 +1,6 @@
-"""Wasserstein GAN training: RMSProp updates, critic weight clipping, and an
-alternating loop of n_critic critic steps per generator step.
+"""Wasserstein GAN training: RMSProp updates, critic weight clipping, and a
+TrainState whose advance() runs one generator step: n_critic critic updates,
+then one generator update. train() builds one, advances it, then writes files.
 
 The critic minimizes mean(fake_scores) - mean(real_scores); the generator
 minimizes -mean(fake_scores). The per-step Wasserstein estimate
@@ -9,7 +10,7 @@ Given a seed (and thread count), training is bit-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -27,8 +28,6 @@ class TrainingDivergedError(RuntimeError):
     def __init__(self, step: int, what: str, value: float):
         super().__init__(f"non-finite {what} ({value}) at generator step {step}")
         self.step = step
-        self.what = what
-        self.value = value
 
 
 @dataclass
@@ -63,12 +62,6 @@ class LogRow:
     wasserstein_estimate: float
 
 
-@dataclass
-class TrainResult:
-    model: GanModel
-    log: list[LogRow] = field(default_factory=list)
-
-
 def critic_loss(real_scores: np.ndarray, fake_scores: np.ndarray) -> float:
     """mean(fake) - mean(real); the critic drives this down, widening the gap."""
     real = np.asarray(real_scores, dtype=np.float64)
@@ -87,7 +80,7 @@ def generator_loss(fake_scores: np.ndarray) -> float:
 
 def clip_weights(net: Critic, c: float) -> None:
     """Clamp every critic parameter into [-c, c] in place."""
-    if c <= 0:
+    if not c > 0:  # NaN too: np.clip would turn every weight into NaN
         raise ValueError("clip bound must be > 0")
     for arr in net.param_arrays():
         np.clip(arr, -c, c, out=arr)
@@ -134,66 +127,58 @@ class RMSProp:
             np.subtract(p, g64, out=p, dtype=p.dtype)
 
 
-def _as_matrix(dataset: Sequence[Rir] | np.ndarray) -> np.ndarray:
-    if isinstance(dataset, np.ndarray):
-        data = dataset
-    else:  # np.stack would refuse an empty list with a message that names nothing
-        data = np.stack([r.samples for r in dataset]) if dataset else np.empty((0, 0))
-    if data.ndim != 2 or data.shape[0] == 0:
-        raise ValueError("dataset must be a non-empty collection of RIR vectors")
-    return data.astype(np.float32)
-
-
 def write_log_csv(log: Sequence[LogRow], path: str | Path) -> None:
     write_csv(path, ["step", "critic_loss", "generator_loss", "wasserstein_estimate"],
               ([row.step, f"{row.critic_loss:.8g}", f"{row.generator_loss:.8g}",
                 f"{row.wasserstein_estimate:.8g}"] for row in log))
 
 
-def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
-          out_dir: str | Path | None = None) -> TrainResult:
-    """Run the alternating WGAN loop in float32; return the trained model and log.
+class TrainState:
+    """A run between generator steps: the float32 data matrix, the rng, the
+    model (its ``step`` is the one step count), both optimizers and the log."""
 
-    With out_dir set, checkpoints land there every checkpoint_every generator
-    steps (plus a final one) along with training_log.csv.
-    """
-    data = _as_matrix(dataset)
-    n_data = data.shape[0]
-    b = config.batch_size
-    rng = np.random.default_rng(config.rng_seed)
+    def __init__(self, dataset: Sequence[Rir] | np.ndarray, config: TrainConfig):
+        data = (dataset if isinstance(dataset, np.ndarray)
+                else np.array([r.samples for r in dataset]))
+        if data.ndim != 2 or data.shape[0] == 0:
+            raise ValueError("dataset must be a non-empty collection of RIR vectors")
+        self.config = config
+        self.data = data.astype(np.float32)
+        self.rng = np.random.default_rng(config.rng_seed)
+        try:  # numpy refuses a weight draw too large for memory before it starts
+            gen = Generator(config.d, rng=self.rng)
+            critic = Critic(config.d, shuffle_radius=config.shuffle_radius, rng=self.rng)
+        except MemoryError:
+            raise ValueError(f"no memory for a d={config.d} model") from None
+        self.model = GanModel(gen, critic, config.d, 0, config.rng_seed)
+        self.g_opt = RMSProp(gen.param_arrays(), config.learning_rate)
+        self.c_opt = RMSProp(critic.param_arrays(), config.learning_rate)
+        self.log: list[LogRow] = []
 
-    gen = Generator(config.d, rng=rng)
-    critic = Critic(config.d, shuffle_radius=config.shuffle_radius, rng=rng)
-    g_opt = RMSProp(gen.param_arrays(), config.learning_rate)
-    c_opt = RMSProp(critic.param_arrays(), config.learning_rate)
+    def advance(self) -> LogRow:
+        """Run one generator step (n_critic critic updates, then the generator
+        update) and return its log row. On divergence, step and log stay put."""
+        b, step, rng = self.config.batch_size, self.model.step + 1, self.rng
+        gen, critic = self.model.generator, self.model.critic
+        # gradient of the critic loss wrt scores of the combined [real | fake] batch
+        gs_critic = np.repeat(np.float32([-1.0 / b, 1.0 / b]), b)
+        gs_gen = np.full(b, -1.0 / b, dtype=np.float32)
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        out_path.mkdir(parents=True, exist_ok=True)
-
-    result = TrainResult(model=GanModel(gen, critic, config.d, 0, config.rng_seed))
-    # gradient of the critic loss wrt scores of the combined [real | fake] batch
-    gs_critic = np.repeat(np.float32([-1.0 / b, 1.0 / b]), b)
-    gs_gen = np.full(b, -1.0 / b, dtype=np.float32)
-
-    # a diverging run overflows before its loss turns non-finite; the
-    # TrainingDivergedError below reports it, so numpy need not warn as well
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(1, config.steps + 1):
-            c_loss = w_est = 0.0
-            for _ in range(config.n_critic):
-                idx = rng.integers(0, n_data, size=b)
-                real = data[idx]
+        # a diverging run overflows before its loss turns non-finite; the
+        # TrainingDivergedError below reports it, so numpy need not warn as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.config.n_critic):
+                idx = rng.integers(0, self.data.shape[0], size=b)
+                real = self.data[idx]
                 z = sample_latent(rng, b)
                 fake = gen.forward(z)
                 scores = critic.forward(np.concatenate([real, fake]), rng=rng)
                 c_loss = critic_loss(scores[:b], scores[b:])
                 if not np.isfinite(c_loss):
                     raise TrainingDivergedError(step, "critic loss", c_loss)
-                w_est = -c_loss
                 critic.backward(gs_critic, input_grad=False)
-                c_opt.step(critic.grad_arrays())
-                clip_weights(critic, config.clip_c)
+                self.c_opt.step(critic.grad_arrays())
+                clip_weights(critic, self.config.clip_c)
 
             z = sample_latent(rng, b)
             fake = gen.forward(z)
@@ -203,15 +188,30 @@ def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
                 raise TrainingDivergedError(step, "generator loss", g_loss)
             gx = critic.backward(gs_gen, param_grads=False)
             gen.backward(gx, input_grad=False)
-            g_opt.step(gen.grad_arrays())
+            self.g_opt.step(gen.grad_arrays())
 
-            result.log.append(LogRow(step, c_loss, g_loss, w_est))
-            result.model.step = step
-            if (out_path is not None and config.checkpoint_every > 0
-                    and step % config.checkpoint_every == 0):
-                save_checkpoint(result.model, out_path / f"checkpoint_{step:06d}.gan")
+        self.log.append(LogRow(step, c_loss, g_loss, -c_loss))
+        self.model.step = step
+        return self.log[-1]
 
+
+def train(dataset: Sequence[Rir] | np.ndarray, config: TrainConfig,
+          out_dir: str | Path | None = None) -> TrainState:
+    """Build a TrainState, advance it config.steps generator steps and return it.
+
+    With out_dir set, checkpoints land there every checkpoint_every generator
+    steps (plus a final one) along with training_log.csv.
+    """
+    state = TrainState(dataset, config)
+    out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
-        save_checkpoint(result.model, out_path / "checkpoint_final.gan")
-        write_log_csv(result.log, out_path / "training_log.csv")
-    return result
+        out_path.mkdir(parents=True, exist_ok=True)
+    for _ in range(config.steps):
+        step = state.advance().step
+        if (out_path is not None and config.checkpoint_every > 0
+                and step % config.checkpoint_every == 0):
+            save_checkpoint(state.model, out_path / f"checkpoint_{step:06d}.gan")
+    if out_path is not None:
+        save_checkpoint(state.model, out_path / "checkpoint_final.gan")
+        write_log_csv(state.log, out_path / "training_log.csv")
+    return state

@@ -364,8 +364,12 @@ BAD_INPUTS = {
         "split", "--pool", str(ws / "rirs.csv"), "--sizes", "4,2"],
     "sizes not counts": lambda ws, tmp: [
         "split", "--pool", str(ws / "rirs.csv"), "--sizes", "4,x,1"],
+    "sizes with a non-ASCII digit": lambda ws, tmp: [
+        "split", "--pool", str(ws / "rirs.csv"), "--sizes", "1,1,\u00b2"],
     "compose count not a number": lambda ws, tmp: [
         "compose", "--pool", f"{ws / 'rirs.csv'}:x"],
+    "compose count a non-ASCII digit": lambda ws, tmp: [
+        "compose", "--pool", f"{ws / 'rirs.csv'}:\u00b2"],
     "compose without count": lambda ws, tmp: ["compose", "--pool", "5"],
     "compose count past its pool": lambda ws, tmp: [
         "compose", "--pool", _file(tmp, "a.csv", f"r0,S,{ws / 'rir_0.wav'}\n") + ":1",
@@ -397,6 +401,9 @@ BAD_INPUTS = {
     "train pool WAV all zeros": lambda ws, tmp: [
         "train", "--config",
         _config(tmp, {"pool": _pool(tmp, f"r,S,{_zeros_wav(tmp)}\n"), "steps": 1})],
+    "train d too large to build": lambda ws, tmp: [
+        "train", "--config",
+        _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1, "d": 1000000000})],
 }
 
 # cases whose error line must name the file that could not be read
@@ -423,6 +430,13 @@ NAMED_FILE = {
     "train pool WAV all zeros": "zeros.wav",
 }
 
+# cases whose error line must say what was refused: the flag, or the model size
+SAYS = {
+    "sizes with a non-ASCII digit": "--sizes needs three comma-separated counts",
+    "compose count a non-ASCII digit": "--pool needs CSV:COUNT",
+    "train d too large to build": "no memory for a d=1000000000 model",
+}
+
 
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
 def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
@@ -434,6 +448,7 @@ def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
     assert "Traceback" not in err
     if case in NAMED_FILE:
         assert str(tmp_path / NAMED_FILE[case]) in err
+    assert SAYS.get(case, "") in err
 
 
 @pytest.mark.parametrize("command", ["train", "split", "compose", "augment"])

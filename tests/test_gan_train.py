@@ -11,10 +11,12 @@ from rirkit.gan.nets import Critic, Generator, sample_latent
 from rirkit.gan.training import (
     TrainConfig,
     TrainingDivergedError,
+    TrainState,
     clip_weights,
     critic_loss,
     generator_loss,
     train,
+    write_log_csv,
 )
 import rirkit.gan.training as train_mod
 
@@ -134,6 +136,15 @@ class TestClip:
         for a, b in zip(crit.param_arrays(), snap):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("c", [0.0, -0.01, float("nan")])
+    def test_bound_not_positive_refused(self, c):
+        crit = Critic(d=1, rng=np.random.default_rng(2))
+        snap = [a.copy() for a in crit.param_arrays()]
+        with pytest.raises(ValueError, match="clip bound must be > 0"):
+            clip_weights(crit, c)
+        for a, b in zip(crit.param_arrays(), snap):
+            np.testing.assert_array_equal(a, b)
+
     def test_example_values(self):
         w = np.float32([-0.5, 0.005, 0.2])
         np.testing.assert_allclose(np.clip(w, -0.01, 0.01), [-0.01, 0.005, 0.01])
@@ -195,11 +206,34 @@ class TestTrainLoop:
         def bad_loss(real, fake):
             return float("nan")
 
-        monkeypatch.setattr(train_mod, "critic_loss", bad_loss)
         cfg = TrainConfig(steps=2, batch_size=2, d=1, rng_seed=0, checkpoint_every=0)
+        state = TrainState(tiny_dataset(), cfg)
+        state.advance()
+        monkeypatch.setattr(train_mod, "critic_loss", bad_loss)
         with pytest.raises(TrainingDivergedError) as err:
             train(tiny_dataset(), cfg)
         assert err.value.step == 1
+        # a step that diverges leaves the step count and the log at the last good step
+        with pytest.raises(TrainingDivergedError) as err:
+            state.advance()
+        assert err.value.step == 2
+        assert state.model.step == 1 and [r.step for r in state.log] == [1]
+
+    def test_advancing_a_state_equals_train(self, tmp_path):
+        """train() is a TrainState advanced steps times: the same checkpoint
+        bytes and training_log.csv from either."""
+        cfg = TrainConfig(steps=3, batch_size=2, n_critic=2, d=1, rng_seed=4,
+                          checkpoint_every=0)
+        ref = train(tiny_dataset(), cfg, out_dir=tmp_path / "train")
+        state = TrainState(tiny_dataset(), cfg)
+        rows = [state.advance() for _ in range(3)]
+        assert rows == state.log == ref.log and state.model.step == 3
+        save_checkpoint(state.model, tmp_path / "state.gan")
+        write_log_csv(state.log, tmp_path / "state.csv")
+        assert (tmp_path / "state.gan").read_bytes() == \
+            (tmp_path / "train" / "checkpoint_final.gan").read_bytes()
+        assert (tmp_path / "state.csv").read_bytes() == \
+            (tmp_path / "train" / "training_log.csv").read_bytes()
 
     def test_log_csv_and_checkpoints(self, tmp_path):
         cfg = TrainConfig(steps=4, batch_size=2, d=1, rng_seed=3, checkpoint_every=2)

@@ -106,3 +106,26 @@ def test_generate_traces_one_latent_draw_per_try():
     assert report.tries > report.accepted == 3
     names = [span[0] for span in tracer.spans]
     assert names.count("gan.sample_latent") == report.tries
+
+
+def test_train_traces_one_step_span_per_generator_step():
+    """The benchmark closes a gan.training.step span at each LogRow that
+    train() makes and counts critic updates by gan.training.clip spans. A
+    lookup that bound the patched names early would record neither."""
+    cfg = training.TrainConfig(steps=3, batch_size=2, n_critic=2, d=1,
+                               checkpoint_every=0)
+    data = np.stack([exp_decay(t) for t in (0.3, 0.5, 0.7)])
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        tracer.active = True
+        tracer.mark_boundary()
+        training.train(data, cfg)
+    finally:
+        tracer.uninstall()
+    assert tracer.problems == []
+    steps = [i for i, span in enumerate(tracer.spans) if span[0] == "gan.training.step"]
+    assert len(steps) == cfg.steps
+    for i in steps:
+        clips = [s for s in tracer.spans if s[0] == "gan.training.clip" and s[3] == i]
+        assert len(clips) == cfg.n_critic
