@@ -10,9 +10,10 @@ list or tuple of that length and is stored back as a tuple. Any other
 annotation is a ``TypeError`` too, so no field goes unchecked. Annotations
 are resolved once per class.
 
-``read_text(path)`` decodes a file as UTF-8, whatever the locale, and
-``parse_json(text, where)`` parses JSON; bytes that are not UTF-8 and malformed
-or too deeply nested JSON are a ``ValueError`` naming the file (and the line).
+``read_text(path)`` decodes a file as UTF-8, whatever the locale, and drops
+one leading byte order mark; ``parse_json(text, where)`` parses JSON. Bytes
+that are not UTF-8 and malformed or too deeply nested JSON are a
+``ValueError`` naming the file (and the line).
 
 ``write_csv`` writes every CSV table rirkit makes: UTF-8, LF line ends,
 ``# <comment>`` lines first and a row whose first field starts with ``#``
@@ -70,8 +71,8 @@ def check_fields(obj) -> None:
 
 def read_text(path: str | Path) -> str:
     data = Path(path).read_bytes()
-    try:
-        return data.decode("utf-8")
+    try:  # a leading byte order mark (as Excel writes) is not content
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"{path}: line {line}: not UTF-8 "

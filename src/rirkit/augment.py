@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import logging
 import math
 import os
 from collections import Counter
@@ -32,8 +31,6 @@ import numpy as np
 from ._fields import check_fields, parse_json, read_text
 from .audio import AudioBuffer, convolve, load_rir, load_wav, resample, save_wav
 from .corpus import RirPool, _map
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -206,7 +203,7 @@ def augment_corpus(
 ) -> tuple[list[MixRecord], list[tuple[str, str]]]:
     """Mix every clean utterance with a random RIR, noise, SNR, and offset.
 
-    Per-utterance failures are logged and collected rather than aborting the
+    Per-utterance failures are collected and returned rather than aborting the
     whole job; an utt_id that is not a bare file name, or that repeats, is such
     a failure and writes no file. Returns (records sorted by utt_id, failures
     as (utt_id, error)). Also writes the output WAVs and manifest.jsonl into
@@ -263,7 +260,6 @@ def augment_corpus(
         try:
             return one(item), None
         except Exception as exc:  # per-utterance isolation
-            log.warning("augment failed for %s: %s", item[0], exc)
             return None, (item[0], str(exc))
 
     for rec, err in _map(run, clean_manifest, threads):

@@ -25,9 +25,6 @@ class PoolEntry:
     id: str
     source: str
     path: str
-    # optional stratification key (e.g. a room id); carried through splits
-    # and composition, not otherwise interpreted
-    strat_key: str = ""
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,7 @@ def validate_pool(pool: RirPool, threads: int = 1) -> list[tuple[str, str]]:
 
 def read_pool_csv(path: str | Path) -> RirPool:
     """Read a pool CSV. Its first row that is not a comment is skipped when it
-    is the header id,source,path[,...]. A row with the wrong number of fields,
+    is the header id,source,path. A row with the wrong number of fields,
     an empty id or an empty path is refused with a ValueError naming the file
     and the line."""
     entries, first = [], True
@@ -121,12 +118,11 @@ def read_pool_csv(path: str | Path) -> RirPool:
         if line.startswith("#") or not line.strip():
             continue
         row = next(csv.reader(io.StringIO(line)))
-        header, first = first and row[:3] == ["id", "source", "path"], False
+        header, first = first and row == ["id", "source", "path"], False
         if header:
             continue
-        if len(row) not in (3, 4):
-            raise ValueError(f"{path}: line {lineno}: expected "
-                             f"id,source,path[,strat_key], got {line!r}")
+        if len(row) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected id,source,path, got {line!r}")
         if not row[0] or not row[2]:
             raise ValueError(f"{path}: line {lineno}: empty id or path in {line!r}")
         entries.append(PoolEntry(*row))
@@ -135,7 +131,5 @@ def read_pool_csv(path: str | Path) -> RirPool:
 
 def write_pool_csv(pool: RirPool, path: str | Path,
                    provenance: dict[str, object] | None = None) -> None:
-    keyed = any(e.strat_key for e in pool.entries)
-    write_csv(path, ["id", "source", "path"] + ["strat_key"] * keyed,
-              ([e.id, e.source, e.path] + [e.strat_key] * keyed for e in pool.entries),
+    write_csv(path, ["id", "source", "path"], ([e.id, e.source, e.path] for e in pool.entries),
               comments=[f"{key}={value}" for key, value in (provenance or {}).items()])

@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .._fields import check_fields, write_csv
-from ..audio import Rir
+from ..audio import RIR_LENGTH, Rir
 from .checkpoint import save_checkpoint
-from .nets import Critic, GanModel, Generator, sample_latent
+from .nets import STRIDE, Critic, GanModel, Generator, sample_latent
 
 
 class TrainingDivergedError(RuntimeError):
@@ -46,12 +46,15 @@ class TrainConfig:
         check_fields(self)
         if self.steps < 1 or self.batch_size < 1 or self.n_critic < 1 or self.d < 1:
             raise ValueError("steps, batch_size, n_critic and d must all be >= 1")
-        if self.shuffle_radius < 0 or self.rng_seed < 0:
-            raise ValueError("shuffle_radius and rng_seed must be >= 0")
-        if not self.clip_c > 0:
-            raise ValueError("clip_c must be > 0")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be > 0")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
+        # the critic's last phase shuffle runs on RIR_LENGTH // STRIDE**4 samples
+        top = RIR_LENGTH // STRIDE**4 - 1
+        if not 0 <= self.shuffle_radius <= top:
+            raise ValueError(f"shuffle_radius must be in [0, {top}], got {self.shuffle_radius}")
+        for name in ("clip_c", "learning_rate"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
 
 
 @dataclass
@@ -80,8 +83,8 @@ def generator_loss(fake_scores: np.ndarray) -> float:
 
 def clip_weights(net: Critic, c: float) -> None:
     """Clamp every critic parameter into [-c, c] in place."""
-    if not c > 0:  # NaN too: np.clip would turn every weight into NaN
-        raise ValueError("clip bound must be > 0")
+    if not 0 < c < np.inf:  # NaN would turn every weight into NaN, inf clip none
+        raise ValueError(f"clip bound must be > 0 and finite, got {c}")
     for arr in net.param_arrays():
         np.clip(arr, -c, c, out=arr)
 

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 import tempfile
 import typing
 from contextlib import redirect_stderr, redirect_stdout
@@ -145,6 +148,24 @@ def test_augment_failure_exit_code(workspace, tmp_path):
     assert rc == 1
 
 
+def test_augment_reports_each_failed_utterance_once(workspace, tmp_path):
+    """In a fresh interpreter, where no test harness captures log records, a
+    missing clean file is reported on stderr once, as `failed <utt_id>: ...`."""
+    clean = tmp_path / "clean.csv"
+    clean.write_text(f"utt_id,path\nu0,{workspace / 'clean_0.wav'}\nu1,missing.wav\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    run = subprocess.run(
+        [sys.executable, "-m", "rirkit.cli", "--out-dir", str(tmp_path / "out"), "augment",
+         "--clean", str(clean), "--rirs", str(workspace / "rirs.csv"),
+         "--noise", str(workspace / "noise.csv")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, encoding="utf-8", timeout=300)
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [
+        "failed u1: [Errno 2] No such file or directory: 'missing.wav'"]
+
+
 def _huge_rate_wav(tmp):
     """A float WAV whose header claims 4294967291 Hz, a rate no resampling
     filter to 16 kHz could be built for."""
@@ -257,6 +278,9 @@ def _header(tmp, header: bytes):
 
 
 _DEEP = "[" * 100000  # nested far past what the JSON parser can recurse into
+
+# a train config that runs briefly wherever a bad value is let through
+_D1_TRAIN = {"steps": 2, "d": 1, "batch_size": 2, "n_critic": 1, "checkpoint_every": 0}
 
 
 def _model(tmp):
@@ -404,6 +428,19 @@ BAD_INPUTS = {
     "train d too large to build": lambda ws, tmp: [
         "train", "--config",
         _config(tmp, {"pool": str(ws / "rirs.csv"), "steps": 1, "d": 1000000000})],
+    "train clip_c infinite": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {**_D1_TRAIN, "pool": str(ws / "rirs.csv"),
+                                           "clip_c": float("inf")})],
+    "train learning_rate infinite": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {**_D1_TRAIN, "pool": str(ws / "rirs.csv"),
+                                           "learning_rate": float("inf")})],
+    "train shuffle_radius past the critic's last shuffle": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {**_D1_TRAIN, "pool": str(ws / "rirs.csv"),
+                                           "shuffle_radius": 64})],
+    "pool row with four fields": lambda ws, tmp: [
+        "augment", "--clean", str(ws / "clean.csv"),
+        "--rirs", _pool(tmp, f"r,S,{ws / 'rir_0.wav'},room1\n"),
+        "--noise", str(ws / "noise.csv")],
 }
 
 # cases whose error line must name the file that could not be read
@@ -428,13 +465,23 @@ NAMED_FILE = {
     "compose count past its pool": "b.csv",
     "train pool WAV at a rate past the resampler": "huge_rate.wav",
     "train pool WAV all zeros": "zeros.wav",
+    "train clip_c infinite": "config.json",
+    "train learning_rate infinite": "config.json",
+    "train shuffle_radius past the critic's last shuffle": "config.json",
+    "pool row with four fields": "pool.csv",
 }
 
-# cases whose error line must say what was refused: the flag, or the model size
+# cases whose error line must say what was refused: the flag, the field, the
+# model size or the row
 SAYS = {
     "sizes with a non-ASCII digit": "--sizes needs three comma-separated counts",
     "compose count a non-ASCII digit": "--pool needs CSV:COUNT",
     "train d too large to build": "no memory for a d=1000000000 model",
+    "train clip_c infinite": "clip_c must be > 0 and finite, got inf",
+    "train learning_rate infinite": "learning_rate must be > 0 and finite, got inf",
+    "train shuffle_radius past the critic's last shuffle":
+        "shuffle_radius must be in [0, 63], got 64",
+    "pool row with four fields": "line 1: expected id,source,path",
 }
 
 

@@ -136,7 +136,7 @@ def test_every_csv_table_ends_its_lines_in_lf(tmp_path):
     write_log_csv([LogRow(1, 0.5, -0.5, 0.25), LogRow(2, 0.4, -0.4, 0.2)],
                   tmp_path / "log.csv")
     sampler.GenerationReport(accepted=2, tries=3).to_csv(tmp_path / "report.csv")
-    pool = corpus.RirPool([corpus.PoolEntry("a", "S", "/a.wav", "room1")])
+    pool = corpus.RirPool([corpus.PoolEntry("a", "S", "/a.wav")])
     corpus.write_pool_csv(pool, tmp_path / "pool.csv", provenance={"seed": 1})
     for name in ("params.csv", "log.csv", "report.csv", "pool.csv"):
         data = (tmp_path / name).read_bytes()
@@ -161,3 +161,25 @@ def test_text_utf8_cannot_encode_refused_before_the_file_is_made(tmp_path):
         corpus.write_pool_csv(pool, path, provenance={"note": "x\ud800"})
     assert str(path) in str(err.value)
     assert not path.exists()
+
+
+def test_byte_order_mark_is_not_content(tmp_path):
+    """A pool, a clean manifest and a JSON config saved with a leading UTF-8
+    byte order mark (as Excel's "CSV UTF-8" does) read as they would without it."""
+    from rirkit import augment, cli, corpus
+
+    cases = {"pool.csv": ("id,source,path\na,S,/x/a.wav\n", corpus.read_pool_csv),
+             "clean.csv": ("utt_id,path\nu0,/x/u0.wav\n", augment.read_clean_manifest),
+             "config.json": ('{"steps": 1}', cli._load_json)}
+    for name, (text, read) in cases.items():
+        plain, marked = tmp_path / f"plain_{name}", tmp_path / f"marked_{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        assert read(marked) == read(plain), name
+    assert augment.read_clean_manifest(tmp_path / "marked_clean.csv") == [("u0", "/x/u0.wav")]
+
+    # a byte that is not UTF-8 is still reported at its offset in the file
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,S,/x/a.wav\nb,S,/x/\xff.wav\n")  # \xff at byte 23
+    with pytest.raises(ValueError, match=r"bad\.csv: line 2: not UTF-8 .* at byte 23\)"):
+        corpus.read_pool_csv(path)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rirkit.gan.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from rirkit.gan.layers import PhaseShuffle
 from rirkit.gan.nets import Critic, Generator, sample_latent
 from rirkit.gan.training import (
     TrainConfig,
@@ -136,7 +137,7 @@ class TestClip:
         for a, b in zip(crit.param_arrays(), snap):
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("c", [0.0, -0.01, float("nan")])
+    @pytest.mark.parametrize("c", [0.0, -0.01, float("nan"), float("inf")])
     def test_bound_not_positive_refused(self, c):
         crit = Critic(d=1, rng=np.random.default_rng(2))
         snap = [a.copy() for a in crit.param_arrays()]
@@ -282,6 +283,21 @@ class TestTrainLoop:
             TrainConfig(steps=1, shuffle_radius=-1)
         with pytest.raises(ValueError):
             TrainConfig(steps=1, learning_rate=float("nan"))
+        for field in ("clip_c", "learning_rate"):
+            with pytest.raises(ValueError, match=rf"^{field} must be > 0 and finite, got inf"):
+                TrainConfig(steps=1, **{field: float("inf")})
+
+    def test_shuffle_radius_fits_the_critics_last_shuffle(self):
+        """The critic's last phase shuffle runs on 64 samples, so 63 is the
+        largest shift it can apply."""
+        assert TrainConfig(steps=1, shuffle_radius=63).shuffle_radius == 63
+        with pytest.raises(ValueError, match=r"^shuffle_radius must be in \[0, 63\], got 64"):
+            TrainConfig(steps=1, shuffle_radius=64)
+        last = np.arange(64, dtype=np.float32)[None]
+        assert PhaseShuffle(63).forward(last, 63)[0, 63] == 0  # x[0] moved to the end
+        assert PhaseShuffle(63).forward(last, -63)[0, 0] == 63  # x[63] to the start
+        with pytest.raises(ValueError, match="shift 64 does not fit a length of 64"):
+            PhaseShuffle(64).forward(last, 64)
 
     @pytest.mark.parametrize("field, value", [
         ("steps", 1.5), ("steps", True), ("batch_size", "8"), ("n_critic", 5.0),
