@@ -245,8 +245,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _COMMANDS[args.command](args)
-    except (OSError, ValueError, TrainingDivergedError) as exc:  # bad input, or diverged
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, TrainingDivergedError, MemoryError) as exc:
+        # bad input, a diverged run, or no memory (numpy's text names the size)
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -3,16 +3,16 @@
 Layout: magic bytes "IRGAN01", a little-endian uint32 header length, a JSON
 header (d, step, seed, latent distribution, shuffle radius, and the ordered
 parameter manifest with shapes), then raw little-endian float32 weight blobs
-in manifest order (generator first, then critic). A load checks the header,
-then compares the manifest and the file size with the layout d implies, taken
-from nets of zero-byte tensors, so a refused checkpoint allocates no weights
-and an accepted one restores every tensor. Only then does it build a float32
-model with zero weights (no random initialisation) and read each blob into
-its tensor in place, in blocks of leading-axis rows through one reused buffer
-of at most a mebibyte (or one row, if a row is larger), so a load peaks at
-the model plus one bounded read buffer; saving writes the same blocks. A
-generator-only load (critic=False) makes the same checks, but builds no
-critic and leaves its blobs unread.
+in manifest order (generator first, then critic). A load checks the header's
+types, then its manifest and the file size against nets of zero-byte tensors,
+which refuse any d or shuffle radius that the nets' shape rules forbid; so a
+refused checkpoint allocates no weights and an accepted one restores every
+tensor. Only then does it build a float32 model with zero weights (no random
+initialisation) and read each blob into its tensor in place, in blocks of
+leading-axis rows through one reused buffer of at most a mebibyte (or one
+row, if a row is larger), so a load peaks at the model plus one bounded read
+buffer; saving writes the same blocks. A generator-only load (critic=False)
+makes the same checks, but builds no critic and leaves its blobs unread.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ class CheckpointError(ValueError):
     pass
 
 
-def _tensors(model) -> list[tuple[dict, np.ndarray]]:
+def _tensors(generator, critic) -> list[tuple[dict, np.ndarray]]:
     """(manifest entry, live array) for every tensor, in checkpoint order; a
     None critic (a generator-only load) holds none."""
     return [({"role": role, "layer": layer_name, "param": param_name,
               "shape": list(arr.shape)}, arr)
-            for role, net in (("generator", model.generator), ("critic", model.critic))
+            for role, net in (("generator", generator), ("critic", critic))
             if net is not None
             for layer_name, param_name, arr in net.named_params()]
 
@@ -56,7 +56,7 @@ def _blocks(arr: np.ndarray) -> list[slice]:
 def save_checkpoint(model, path: str | Path) -> None:
     if model.critic is None:
         raise ValueError("cannot save a model without a critic (a generator-only load)")
-    tensors = _tensors(model)
+    tensors = _tensors(model.generator, model.critic)
     header = {
         "d": model.d,
         "step": model.step,
@@ -98,18 +98,14 @@ def load_checkpoint(path: str | Path, critic: bool = True):
             raise CheckpointError(f"{path}: corrupt header")
         d, step, seed, latent_dist, radius = (header.get(key) for key in (
             "d", "step", "seed", "latent_dist", "shuffle_radius"))
-        if not all(type(v) is int for v in (d, step, seed)) or d < 1:
-            raise CheckpointError(f"{path}: header needs integers d >= 1, step and seed")
-        if latent_dist != "uniform":
-            raise CheckpointError(f"{path}: unknown latent distribution {latent_dist!r}")
-        if type(radius) is not int or radius < 0:
-            raise CheckpointError(f"{path}: shuffle radius must be an integer >= 0")
+        if latent_dist != "uniform" or not all(type(v) is int for v in (d, step, seed, radius)):
+            raise CheckpointError(f"{path}: header needs integers d, step, seed and "
+                                  'shuffle_radius, and latent_dist "uniform"')
 
         try:  # shapes only: zero-byte tensors, so nothing is allocated yet
-            layout = _tensors(GanModel(Generator(d, dtype=_NO_BYTES),
-                                       Critic(d, shuffle_radius=radius, dtype=_NO_BYTES),
-                                       d=d, step=step, seed=seed))
-        except ValueError as exc:  # numpy refuses the shapes of a huge d
+            layout = _tensors(Generator(d, dtype=_NO_BYTES),
+                              Critic(d, shuffle_radius=radius, dtype=_NO_BYTES))
+        except ValueError as exc:  # the nets refuse what they cannot build, numpy a huge d
             raise CheckpointError(f"{path}: no d={d} model can be built ({exc})") from None
         if header.get("params") != [entry for entry, _ in layout]:
             raise CheckpointError(f"{path}: parameter manifest differs from a d={d} model's")
@@ -126,7 +122,7 @@ def load_checkpoint(path: str | Path, critic: bool = True):
                              d=d, step=step, seed=seed)
         except MemoryError:
             raise CheckpointError(f"{path}: no memory for a d={d} model") from None
-        tensors = _tensors(model)
+        tensors = _tensors(model.generator, model.critic)
         # conv weights are transposed views of their storage, so blocks land
         # in this buffer first and are then copied into place
         buf = np.empty(max(arr[rows].size for _, arr in tensors for rows in _blocks(arr)),

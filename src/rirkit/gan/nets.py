@@ -6,7 +6,7 @@ stride-4 transposed convolutions (kernel 25) to a 16384-sample waveform in
 optional phase shuffle between layers, and a dense head producing one
 unbounded realness score per input. Both take batches only, one input per
 row. The width multiplier d scales channel counts (d=4 desk-scale, d=64
-full-scale).
+full-scale). The nets hold the model's shape rules (d >= 1, MAX_SHUFFLE_RADIUS).
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ LATENT_DIM = 100
 KERNEL = 25
 STRIDE = 4
 LEAKY_SLOPE = 0.2
+# a shift must be shorter than the critic's last shuffled map, RIR_LENGTH // STRIDE**4
+MAX_SHUFFLE_RADIUS = RIR_LENGTH // STRIDE**4 - 1
 
 
 def sample_latent(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -145,6 +147,9 @@ class Critic(_Net):
     def __init__(self, d: int = 4, shuffle_radius: int = 2,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         super().__init__(d, dtype)
+        if not 0 <= shuffle_radius <= MAX_SHUFFLE_RADIUS:
+            raise ValueError(f"shuffle_radius must be in [0, {MAX_SHUFFLE_RADIUS}], "
+                             f"got {shuffle_radius}")
         self.shuffle_radius = shuffle_radius
         widths = [1, d, 2 * d, 4 * d, 8 * d, 16 * d]
         self._add(Reshape(RIR_LENGTH, 1))

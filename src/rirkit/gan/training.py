@@ -17,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .._fields import check_fields, write_csv
-from ..audio import RIR_LENGTH, Rir
+from ..audio import Rir
 from .checkpoint import save_checkpoint
-from .nets import STRIDE, Critic, GanModel, Generator, sample_latent
+from .nets import MAX_SHUFFLE_RADIUS, Critic, GanModel, Generator, sample_latent
 
 
 class TrainingDivergedError(RuntimeError):
@@ -48,10 +48,9 @@ class TrainConfig:
             raise ValueError("steps, batch_size, n_critic and d must all be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
-        # the critic's last phase shuffle runs on RIR_LENGTH // STRIDE**4 samples
-        top = RIR_LENGTH // STRIDE**4 - 1
-        if not 0 <= self.shuffle_radius <= top:
-            raise ValueError(f"shuffle_radius must be in [0, {top}], got {self.shuffle_radius}")
+        if not 0 <= self.shuffle_radius <= MAX_SHUFFLE_RADIUS:  # early, to name the file
+            raise ValueError(f"shuffle_radius must be in [0, {MAX_SHUFFLE_RADIUS}], "
+                             f"got {self.shuffle_radius}")
         for name in ("clip_c", "learning_rate"):
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")

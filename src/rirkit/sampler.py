@@ -74,11 +74,14 @@ class Histogram:
             raise ValueError("need len(counts) == len(edges) - 1 >= 1")
         if not np.all(np.isfinite(edges)):
             raise ValueError("bin edges must be finite")
+        span = float(edges.max()) - float(edges.min())  # Python floats: inf without a warning
+        if np.isinf(span):
+            raise ValueError("bin edges must span a finite range")
         widths = np.diff(edges)
         if np.any(widths <= 0):
             raise ValueError("bin edges must be strictly increasing")
         # 1e-9 of the span, plus the rounding of edges far from zero
-        tol = 1e-9 * (edges[-1] - edges[0]) + 4 * np.spacing(np.abs(edges).max())
+        tol = 1e-9 * span + 4 * np.spacing(np.abs(edges).max())
         if np.any(np.abs(widths - widths[0]) > tol):
             raise ValueError("bin edges must be equal-width: widths "
                              f"{widths.min():g} to {widths.max():g}")

@@ -112,10 +112,13 @@ def test_bad_integer_fields_refused(saved, key, value):
         load_checkpoint(path)
 
 
+# d and shuffle_radius are judged by the nets that the layout walk builds
 @pytest.mark.parametrize("key, value", [("latent_dist", "cauchy"),
                                         ("latent_dist", "gaussian"),
                                         ("shuffle_radius", -3),
                                         ("shuffle_radius", "two"),
+                                        ("shuffle_radius", 64),
+                                        ("d", 0),
                                         ("latent_dist", None),
                                         ("shuffle_radius", None)])
 def test_unusable_model_fields_refused(saved, key, value):
@@ -126,7 +129,7 @@ def test_unusable_model_fields_refused(saved, key, value):
     else:
         header[key] = value
     join(path, header, body)
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
         load_checkpoint(path)
 
 
@@ -217,8 +220,8 @@ HEADER_REFUSALS = {
        for key in ("d", "step", "seed") for value in (None, "1", 1.5, True)},
     **{f"{key}={value!r}": _set(key, value)
        for key, value in (("latent_dist", "cauchy"), ("shuffle_radius", -3),
-                          ("shuffle_radius", "two"), ("latent_dist", None),
-                          ("shuffle_radius", None))},
+                          ("shuffle_radius", "two"), ("shuffle_radius", 64), ("d", 0),
+                          ("latent_dist", None), ("shuffle_radius", None))},
     **{f"d={value}": _set("d", value) for value in HUGE_D},
 }
 

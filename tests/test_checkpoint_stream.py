@@ -116,8 +116,7 @@ def test_generator_only_load_peaks_at_generator_plus_one_block(d16):
 def test_cut_after_the_header_refused_before_any_weight_is_built(tmp_path, critic):
     # a d=64 header and manifest, written from zero-byte nets, then 1000 bytes
     # of the 146 MB of blobs it announces: refused from the file size alone
-    layout = _tensors(GanModel(Generator(64, dtype=_NO_BYTES), Critic(64, dtype=_NO_BYTES),
-                               d=64, step=0, seed=0))
+    layout = _tensors(Generator(64, dtype=_NO_BYTES), Critic(64, dtype=_NO_BYTES))
     header = json.dumps({"d": 64, "step": 0, "seed": 0, "latent_dist": "uniform",
                          "shuffle_radius": 2, "params": [entry for entry, _ in layout]})
     path = tmp_path / "cut.gan"

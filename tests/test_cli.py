@@ -283,9 +283,16 @@ _DEEP = "[" * 100000  # nested far past what the JSON parser can recurse into
 _D1_TRAIN = {"steps": 2, "d": 1, "batch_size": 2, "n_critic": 1, "checkpoint_every": 0}
 
 
-def _model(tmp):
+def _model(tmp, **header):
+    """A d=1 checkpoint, with the given header values written over its own."""
     path = tmp / "model.gan"
     save_checkpoint(GanModel(Generator(1), Critic(1), d=1, step=0, seed=0), path)
+    if header:
+        data = path.read_bytes()
+        start = len(MAGIC) + 4
+        end = start + struct.unpack_from("<I", data, len(MAGIC))[0]
+        blob = json.dumps({**json.loads(data[start:end]), **header}).encode()
+        path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + data[end:])
     return str(path)
 
 
@@ -441,6 +448,12 @@ BAD_INPUTS = {
         "augment", "--clean", str(ws / "clean.csv"),
         "--rirs", _pool(tmp, f"r,S,{ws / 'rir_0.wav'},room1\n"),
         "--noise", str(ws / "noise.csv")],
+    "checkpoint shuffle_radius past the critic's last shuffle": lambda ws, tmp: [
+        "generate", "--model", _model(tmp, shuffle_radius=64), "--hist", _hist(ws, tmp),
+        "-n", "1"],
+    "analyze bins past memory": lambda ws, tmp: [
+        "analyze", *sorted(str(p) for p in ws.glob("rir_*.wav"))[:3],
+        "--hist", str(tmp / "h.json"), "--bins", "1000000000000"],
 }
 
 # cases whose error line must name the file that could not be read
@@ -469,6 +482,7 @@ NAMED_FILE = {
     "train learning_rate infinite": "config.json",
     "train shuffle_radius past the critic's last shuffle": "config.json",
     "pool row with four fields": "pool.csv",
+    "checkpoint shuffle_radius past the critic's last shuffle": "model.gan",
 }
 
 # cases whose error line must say what was refused: the flag, the field, the
@@ -482,6 +496,9 @@ SAYS = {
     "train shuffle_radius past the critic's last shuffle":
         "shuffle_radius must be in [0, 63], got 64",
     "pool row with four fields": "line 1: expected id,source,path",
+    "checkpoint shuffle_radius past the critic's last shuffle":
+        "no d=1 model can be built (shuffle_radius must be in [0, 63], got 64)",
+    "analyze bins past memory": "Unable to allocate",
 }
 
 
@@ -497,6 +514,23 @@ def test_bad_input_exits_2_without_traceback(workspace, tmp_path, capsys, case):
         assert str(tmp_path / NAMED_FILE[case]) in err
     if case in SAYS:
         assert SAYS[case] in err
+
+
+def test_train_out_of_memory_exits_2_without_traceback(workspace, tmp_path, capsys):
+    # train makes --out-dir before its first step, where the batch is allocated
+    config = _config(tmp_path, {**_D1_TRAIN, "pool": str(workspace / "rirs.csv"),
+                                "batch_size": 10**12})
+    assert main(["--out-dir", str(tmp_path / "out"), "train", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and len(err.splitlines()) == 1
+
+
+def test_bare_memory_error_exits_2_saying_so(workspace, monkeypatch, capsys):
+    def no_memory(args):
+        raise MemoryError
+    monkeypatch.setitem(cli._COMMANDS, "validate", no_memory)
+    assert main(["validate", "--pool", str(workspace / "rirs.csv")]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 @pytest.mark.parametrize("command", ["train", "split", "compose", "augment"])

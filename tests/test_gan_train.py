@@ -293,6 +293,11 @@ class TestTrainLoop:
         assert TrainConfig(steps=1, shuffle_radius=63).shuffle_radius == 63
         with pytest.raises(ValueError, match=r"^shuffle_radius must be in \[0, 63\], got 64"):
             TrainConfig(steps=1, shuffle_radius=64)
+        assert Critic(1, shuffle_radius=63).shuffle_radius == 63
+        for radius in (64, -1):
+            with pytest.raises(ValueError,
+                               match=rf"^shuffle_radius must be in \[0, 63\], got {radius}$"):
+                Critic(1, shuffle_radius=radius)
         last = np.arange(64, dtype=np.float32)[None]
         assert PhaseShuffle(63).forward(last, 63)[0, 63] == 0  # x[0] moved to the end
         assert PhaseShuffle(63).forward(last, -63)[0, 0] == 63  # x[63] to the start

@@ -186,6 +186,9 @@ class TestHistogramPrimitives:
         ("total_count", None, 1.9, "total_count"),
         ("total_count", None, True, "total_count"),
         ("edges", 1, 0.25, "params.drr: bin edges must be equal-width"),
+        # the first and last edge: a span past the float range
+        ("edges", slice(None, None, 30), [-1.7e308, 1.7e308],
+         "params.drr: bin edges must span a finite range"),
     ])
     def test_load_refuses_malformed_values(self, tmp_path, key, index, value, field):
         p = tmp_path / "h.json"
@@ -222,6 +225,7 @@ class TestHistogramPrimitives:
         ([0.0], np.array([], dtype=np.int64)),
         ([0.0, 1.0, 3.0], [1, 1]),
         ([0.0, 1.0, 2.0 + 1e-6], [1, 1]),
+        ([-1.7e308, 1e308, 1.7e308], [1, 1]),  # widths inf and 7e307
     ])
     def test_histogram_refuses_malformed_values(self, edges, counts):
         with pytest.raises(ValueError):
