@@ -68,9 +68,7 @@ class DecayCurve:
 
 
 def _samples(rir: RirLike) -> np.ndarray:
-    if isinstance(rir, Rir):
-        return rir.samples.astype(np.float64)
-    s = np.asarray(rir, dtype=np.float64)
+    s = np.asarray(rir.samples if isinstance(rir, Rir) else rir, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("impulse response must be a non-empty 1-D vector")
     return s

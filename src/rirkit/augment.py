@@ -79,27 +79,19 @@ class MixRecord:
     def __post_init__(self):
         check_fields(self)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
-
 
 def looped_noise(noise: AudioBuffer, k: int, length: int) -> AudioBuffer:
     """Circular slice: output[i] = noise[(k + i) mod len(noise)].
 
-    The output is filled by slice copies: noise[k:], then whole loops of
-    noise, then the head that is left. length 0 is a ValueError, as an
+    noise[k:] (cut to length), then np.resize's cyclic fill from the start of
+    noise for the rest. A length of 0 or less is a ValueError, as an
     AudioBuffer cannot be empty."""
     n = len(noise)
     if not 0 <= k < n:
         raise ValueError(f"offset k={k} out of range [0, {n})")
     src = noise.samples
-    out = np.empty(length, dtype=src.dtype)
-    pos = min(length, n - k)
-    out[:pos] = src[k : k + pos]
-    while pos < length:
-        step = min(n, length - pos)
-        out[pos : pos + step] = src[:step]
-        pos += step
+    wrap = max(0, length - (n - k))  # np.resize copies all it is given: pass only what it uses
+    out = np.concatenate([src[k : k + max(length, 0)], np.resize(src[:wrap], wrap)])
     return AudioBuffer(out, noise.sample_rate)
 
 
@@ -160,7 +152,7 @@ def read_clean_manifest(path: str | Path) -> list[tuple[str, str]]:
 def write_manifest(records: Sequence[MixRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
-            f.write(rec.to_json() + "\n")
+            f.write(json.dumps(asdict(rec)) + "\n")
 
 
 def read_manifest(path: str | Path) -> list[MixRecord]:
@@ -253,21 +245,14 @@ def augment_corpus(
                        rir_id=rir_entry.id, noise_id=noise_entry.id, snr=snr,
                        out_path=str(out_file))
 
-    records: list[MixRecord] = []
-    failures: list[tuple[str, str]] = []
-
-    def run(item):
+    def run(item) -> MixRecord | tuple[str, str]:
         try:
-            return one(item), None
+            return one(item)
         except Exception as exc:  # per-utterance isolation
-            return None, (item[0], str(exc))
+            return item[0], str(exc)
 
-    for rec, err in _map(run, clean_manifest, threads):
-        if rec is not None:
-            records.append(rec)
-        else:
-            failures.append(err)
-
-    records.sort(key=lambda r: r.utt_id)
+    outcomes = _map(run, clean_manifest, threads)
+    records = sorted((r for r in outcomes if isinstance(r, MixRecord)), key=lambda r: r.utt_id)
+    failures = [f for f in outcomes if not isinstance(f, MixRecord)]
     write_manifest(records, out_path / "manifest.jsonl")
     return records, failures

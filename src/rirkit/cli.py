@@ -40,33 +40,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", type=Path, help="write parameter rows to this CSV")
     p.add_argument("--hist", type=Path, help="write parameter histograms (JSON)")
     p.add_argument("--bins", type=int, default=30, help="histogram bins per parameter")
+    p.set_defaults(run=_cmd_analyze)
 
     p = sub.add_parser("train", help="train the RIR GAN on a pool of WAVs")
     p.add_argument("--config", type=Path, required=True, help="JSON train config")
+    p.set_defaults(run=_cmd_train)
 
     p = sub.add_parser("generate", help="generate histogram-constrained RIRs")
     p.add_argument("--model", type=Path, required=True, help="checkpoint file")
     p.add_argument("--hist", type=Path, required=True, help="histogram JSON")
     p.add_argument("-n", type=int, required=True, help="number of RIRs")
     p.add_argument("--config", type=Path, help="JSON sampler config")
+    p.set_defaults(run=_cmd_generate)
 
     p = sub.add_parser("augment", help="synthesize far-field speech")
     p.add_argument("--clean", type=Path, required=True, help="CSV utt_id,path")
     p.add_argument("--rirs", type=Path, required=True, help="RIR pool CSV")
     p.add_argument("--noise", type=Path, required=True, help="noise pool CSV")
     p.add_argument("--spec", type=Path, help="JSON augment spec")
+    p.set_defaults(run=_cmd_augment)
 
     p = sub.add_parser("split", help="split a pool into train/dev/test")
     p.add_argument("--pool", type=Path, required=True)
     p.add_argument("--sizes", type=str, required=True, help="a,b,c")
+    p.set_defaults(run=_cmd_split)
 
-    p = sub.add_parser("compose", help="subsample and concatenate pools")
+    p = sub.add_parser("compose", help="subsample and concatenate pools into composed.csv")
     p.add_argument("--pool", action="append", required=True, metavar="CSV:COUNT",
                    help="pool file and entry count, repeatable")
-    p.add_argument("--out", type=str, default="composed.csv")
+    p.set_defaults(run=_cmd_compose)
 
     p = sub.add_parser("validate", help="check a pool for missing or bad files")
     p.add_argument("--pool", type=Path, required=True)
+    p.set_defaults(run=_cmd_validate)
     return parser
 
 
@@ -208,7 +214,7 @@ def _cmd_compose(args) -> int:
     seed = args.seed if args.seed is not None else 0
     composed = corpus.compose_pool(parts, rng_seed=seed)
     args.out_dir.mkdir(parents=True, exist_ok=True)
-    out = args.out_dir / args.out
+    out = args.out_dir / "composed.csv"
     corpus.write_pool_csv(composed, out, provenance={"seed": seed})
     counts = ", ".join(f"{k}:{v}" for k, v in sorted(composed.source_counts().items()))
     print(f"wrote {out} ({len(composed)} entries; {counts})")
@@ -226,17 +232,6 @@ def _cmd_validate(args) -> int:
     return 1 if findings else 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "train": _cmd_train,
-    "generate": _cmd_generate,
-    "augment": _cmd_augment,
-    "split": _cmd_split,
-    "compose": _cmd_compose,
-    "validate": _cmd_validate,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -244,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         if args.seed is not None and args.seed < 0:
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (OSError, ValueError, TrainingDivergedError, MemoryError) as exc:
         # bad input, a diverged run, or no memory (numpy's text names the size)
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)

@@ -98,8 +98,9 @@ def load_checkpoint(path: str | Path, critic: bool = True):
             raise CheckpointError(f"{path}: corrupt header")
         d, step, seed, latent_dist, radius = (header.get(key) for key in (
             "d", "step", "seed", "latent_dist", "shuffle_radius"))
-        if latent_dist != "uniform" or not all(type(v) is int for v in (d, step, seed, radius)):
-            raise CheckpointError(f"{path}: header needs integers d, step, seed and "
+        if (latent_dist != "uniform" or not all(type(v) is int for v in (d, step, seed, radius))
+                or min(step, seed) < 0):
+            raise CheckpointError(f"{path}: header needs integers d, step >= 0, seed >= 0 and "
                                   'shuffle_radius, and latent_dist "uniform"')
 
         try:  # shapes only: zero-byte tensors, so nothing is allocated yet
@@ -123,8 +124,9 @@ def load_checkpoint(path: str | Path, critic: bool = True):
         except MemoryError:
             raise CheckpointError(f"{path}: no memory for a d={d} model") from None
         tensors = _tensors(model.generator, model.critic)
-        # conv weights are transposed views of their storage, so blocks land
-        # in this buffer first and are then copied into place
+        # ConvTranspose1d weights are transposed views of their storage (Conv1d
+        # and Dense weights and biases are C-contiguous in file order), so
+        # blocks land in this buffer first and are then copied into place
         buf = np.empty(max(arr[rows].size for _, arr in tensors for rows in _blocks(arr)),
                        "<f4")
         for entry, arr in tensors:

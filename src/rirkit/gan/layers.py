@@ -48,13 +48,6 @@ before load unchanged. Weights are updated in place (optimizer, clipping,
 checkpoint loads, and writes through the arrays ``named_params`` returns),
 which keeps each layout for the life of the layer.
 
-Where the bits moved: tap-major windows reorder the inner sum of
-``Conv1d.forward``'s GEMM and of ``ConvTranspose1d.backward``'s input
-gradient, and the bias gradients sum in a new order, so training results
-differ in the last bits from those of the channel-first kernels. Every
-generator forward (``_overlap_add``, then the bias add) gives the same bits
-as before.
-
 Gradients are assigned (not accumulated) on each backward call; every layer
 keeps the forward activations it needs, so backward without a prior forward
 raises RuntimeError. ``Conv1d`` keeps its window matrix, and its next

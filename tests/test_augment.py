@@ -1,6 +1,6 @@
 import json
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -46,6 +46,11 @@ class TestLoopedNoise:
     def test_zero_length(self):
         with pytest.raises(ValueError, match="non-empty"):
             looped_noise(buf([1, 2, 3]), k=0, length=0)
+
+    def test_negative_length(self):
+        for k in (0, 2):  # a slice to k + length would count back from the end
+            with pytest.raises(ValueError):
+                looped_noise(buf([1, 2, 3]), k=k, length=-1)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
@@ -312,7 +317,7 @@ class TestManifests:
         rec = MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0, "/o.wav")
         write_manifest([rec], tmp_path / "manifest.jsonl")
         assert read_manifest(tmp_path / "manifest.jsonl") == [rec]
-        keys = set(json.loads(rec.to_json()).keys())
+        keys = set(json.loads((tmp_path / "manifest.jsonl").read_text()))
         assert keys == {"utt_id", "clean_path", "rir_id", "noise_id", "snr",
                         "k", "alpha", "rescale", "out_path"}
 
@@ -369,8 +374,7 @@ def test_spec_stores_snr_range_as_tuple_and_accepts_numpy_scalars():
 
 @pytest.mark.parametrize("field, value", [("snr", "x"), ("k", 2.5), ("utt_id", 1)])
 def test_mix_record_from_json_rejects_mistyped_fields(tmp_path, field, value):
-    doc = json.loads(MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0,
-                               "/o.wav").to_json())
+    doc = asdict(MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0, "/o.wav"))
     doc[field] = value
     path = tmp_path / "manifest.jsonl"
     path.write_text(json.dumps(doc) + "\n")
@@ -386,8 +390,8 @@ _RECORD = MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0, "/o.wav")
     ("[1, 2]", TypeError),
     ('"u1"', TypeError),
     (json.dumps({"utt_id": "u1"}), TypeError),
-    (_RECORD.to_json()[:-1] + ', "extra": 1}', TypeError),
-    (_RECORD.to_json().replace('"k": 17', '"k": "17"'), TypeError),
+    (json.dumps(asdict(_RECORD))[:-1] + ', "extra": 1}', TypeError),
+    (json.dumps(asdict(_RECORD)).replace('"k": 17', '"k": "17"'), TypeError),
     ("[" * 100000, ValueError),
     (b'{"utt_id": "u\xff"}', ValueError),
 ], ids=["not json", "list", "string", "missing keys", "unknown key", "mistyped key",
@@ -395,7 +399,7 @@ _RECORD = MixRecord("u1", "/a.wav", "r1", "n1", 42.0, 17, 0.25, 1.0, "/o.wav")
 def test_read_manifest_names_file_and_line(tmp_path, bad, error):
     path = tmp_path / "manifest.jsonl"
     bad = bad if isinstance(bad, bytes) else bad.encode()
-    path.write_bytes(f"{_RECORD.to_json()}\n\n".encode() + bad + b"\n")
+    path.write_bytes(f"{json.dumps(asdict(_RECORD))}\n\n".encode() + bad + b"\n")
     with pytest.raises(error) as exc:
         read_manifest(path)
     assert type(exc.value) is error
@@ -415,7 +419,7 @@ def test_fuzz_read_manifest(manifest_path, data):
     TypeError or ValueError naming the file and one of its lines. A line
     nested too deeply, or a byte that is not UTF-8, is always refused: the
     byte with a ValueError naming its own line."""
-    docs = [json.loads(replace(_RECORD, utt_id=f"u{i}", k=i).to_json()) for i in range(3)]
+    docs = [asdict(replace(_RECORD, utt_id=f"u{i}", k=i)) for i in range(3)]
     doc = data.draw(st.sampled_from(docs))
     key = data.draw(st.sampled_from(sorted(doc)))
     edit = data.draw(st.sampled_from(["none", "drop", "add", "retype"]))

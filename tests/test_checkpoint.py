@@ -113,7 +113,9 @@ def test_bad_integer_fields_refused(saved, key, value):
 
 
 # d and shuffle_radius are judged by the nets that the layout walk builds
-@pytest.mark.parametrize("key, value", [("latent_dist", "cauchy"),
+@pytest.mark.parametrize("key, value", [("step", -1),
+                                        ("seed", -1),
+                                        ("latent_dist", "cauchy"),
                                         ("latent_dist", "gaussian"),
                                         ("shuffle_radius", -3),
                                         ("shuffle_radius", "two"),
@@ -219,7 +221,8 @@ HEADER_REFUSALS = {
     **{f"{key}={value!r}": _set(key, value)
        for key in ("d", "step", "seed") for value in (None, "1", 1.5, True)},
     **{f"{key}={value!r}": _set(key, value)
-       for key, value in (("latent_dist", "cauchy"), ("shuffle_radius", -3),
+       for key, value in (("step", -1), ("seed", -1),
+                          ("latent_dist", "cauchy"), ("shuffle_radius", -3),
                           ("shuffle_radius", "two"), ("shuffle_radius", 64), ("d", 0),
                           ("latent_dist", None), ("shuffle_radius", None))},
     **{f"d={value}": _set("d", value) for value in HUGE_D},

@@ -528,7 +528,7 @@ def test_train_out_of_memory_exits_2_without_traceback(workspace, tmp_path, caps
 def test_bare_memory_error_exits_2_saying_so(workspace, monkeypatch, capsys):
     def no_memory(args):
         raise MemoryError
-    monkeypatch.setitem(cli._COMMANDS, "validate", no_memory)
+    monkeypatch.setattr(cli, "_cmd_validate", no_memory)
     assert main(["validate", "--pool", str(workspace / "rirs.csv")]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
 
@@ -546,6 +546,31 @@ def test_validate_no_load_is_gone(workspace, capsys):
         main(["validate", "--pool", str(workspace / "rirs.csv"), "--no-load"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --no-load" in capsys.readouterr().err
+
+
+def test_compose_out_is_gone(workspace, tmp_path, capsys):
+    """compose always writes composed.csv into --out-dir; the flag that renamed it
+    is an argparse error."""
+    pool = f"{workspace / 'rirs.csv'}:2"
+    with pytest.raises(SystemExit) as exc:
+        main(["--out-dir", str(tmp_path), "compose", "--pool", pool, "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["--out-dir", str(tmp_path), "compose", "--pool", pool]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["composed.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "r.wav"], ["train", "--config", "t.json"],
+    ["generate", "--model", "m.gan", "--hist", "h.json", "-n", "1"],
+    ["augment", "--clean", "c.csv", "--rirs", "r.csv", "--noise", "n.csv"],
+    ["split", "--pool", "p.csv", "--sizes", "1,1,1"], ["compose", "--pool", "p.csv:1"],
+    ["validate", "--pool", "p.csv"],
+], ids=lambda argv: argv[0])
+def test_each_subcommand_parser_carries_its_handler(argv):
+    args = cli._build_parser().parse_args(argv)
+    assert args.run is getattr(cli, f"_cmd_{argv[0]}")
 
 
 def test_analyze_bins_refused_before_any_rir_is_read(workspace, tmp_path, capsys):

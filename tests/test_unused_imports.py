@@ -1,8 +1,11 @@
-"""No module of rirkit imports a name it never uses.
+"""No module of rirkit imports a name it never uses, and no private helper
+goes unread.
 
 There is no linter among the test dependencies, so this walks each module's
 syntax tree: every name an import binds (``from __future__`` aside) must be
-read somewhere in the same module.
+read somewhere in the same module, and every module-level private function,
+class or constant (``_name``) must be read somewhere in the package, since
+one module may use another's (``augment`` imports ``corpus._map``).
 """
 
 import ast
@@ -40,3 +43,47 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def private_definitions(source: str) -> dict[str, int]:
+    """Module-level private functions, classes and constants, by name: their lines."""
+    defined = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        defined.update((name, node.lineno) for name in names
+                       if name.startswith("_") and not name.startswith("__"))
+    return defined
+
+
+def names_read(source: str) -> set[str]:
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    read = set().union(*map(names_read, sources.values()))
+    return [f"{module} line {line}: {name}" for module, source in sources.items()
+            for name, line in private_definitions(source).items() if name not in read]
+
+
+def test_the_check_finds_a_dead_private_helper():
+    assert dead_private_names({
+        "a.py": "_USED = 1\n_DEAD: int = 2\ndef _helper():\n    return _USED\n"
+                "class _Gone:\n    pass\n__all__ = []\n",
+        "b.py": "from . import a\nfrom .a import _helper\nx = _helper(), a._BY_ATTR\n"
+                "_BY_ATTR = 3\n",
+    }) == ["a.py line 2: _DEAD", "a.py line 5: _Gone"]
+
+
+def test_no_dead_private_helpers():
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
+               for path in MODULES}
+    assert dead_private_names(sources) == []
