@@ -11,14 +11,17 @@ tensor. Only then does it build a float32 model with zero weights (no random
 initialisation) and read each blob into its tensor in place, in blocks of
 leading-axis rows through one reused buffer of at most a mebibyte (or one
 row, if a row is larger), so a load peaks at the model plus one bounded read
-buffer; saving writes the same blocks. A generator-only load (critic=False)
-makes the same checks, but builds no critic and leaves its blobs unread.
+buffer; saving writes the same blocks, and refuses a step or seed that the
+load would refuse, before it opens the file (a numpy integer is written as
+an int). A generator-only load (critic=False) makes the same checks, but
+builds no critic and leaves its blobs unread.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
 from pathlib import Path
@@ -30,6 +33,8 @@ from .._fields import parse_json
 MAGIC = b"IRGAN01"
 _BLOCK_BYTES = 1 << 20  # one read or write block, unless a single row is larger
 _NO_BYTES = np.dtype([])  # zero-byte records: a net built of them has shapes, no storage
+_HEADER_RULE = ('header needs integers d, step >= 0, seed >= 0 and shuffle_radius, '
+                'and latent_dist "uniform"')
 
 
 class CheckpointError(ValueError):
@@ -56,11 +61,17 @@ def _blocks(arr: np.ndarray) -> list[slice]:
 def save_checkpoint(model, path: str | Path) -> None:
     if model.critic is None:
         raise ValueError("cannot save a model without a critic (a generator-only load)")
+    try:  # numpy integers are written as int
+        step, seed = operator.index(model.step), operator.index(model.seed)
+    except TypeError:
+        raise CheckpointError(f"{path}: {_HEADER_RULE}") from None
+    if min(step, seed) < 0:
+        raise CheckpointError(f"{path}: {_HEADER_RULE}")
     tensors = _tensors(model.generator, model.critic)
     header = {
         "d": model.d,
-        "step": model.step,
-        "seed": model.seed,
+        "step": step,
+        "seed": seed,
         "latent_dist": "uniform",
         "shuffle_radius": model.critic.shuffle_radius,
         "params": [entry for entry, _ in tensors],
@@ -100,8 +111,7 @@ def load_checkpoint(path: str | Path, critic: bool = True):
             "d", "step", "seed", "latent_dist", "shuffle_radius"))
         if (latent_dist != "uniform" or not all(type(v) is int for v in (d, step, seed, radius))
                 or min(step, seed) < 0):
-            raise CheckpointError(f"{path}: header needs integers d, step >= 0, seed >= 0 and "
-                                  'shuffle_radius, and latent_dist "uniform"')
+            raise CheckpointError(f"{path}: {_HEADER_RULE}")
 
         try:  # shapes only: zero-byte tensors, so nothing is allocated yet
             layout = _tensors(Generator(d, dtype=_NO_BYTES),

@@ -56,6 +56,11 @@ forward of the same shape rewrites that buffer in place. ``Dense`` and
 ``input_grad=False`` to compute only their parameter gradients. Layers never
 write to their input or to the incoming gradient: bias adds and other
 in-place steps touch only buffers the layer made.
+
+Up to four rows, a generator row's forward output does not depend on the
+other rows of its batch: ``Dense`` multiplies a one-row batch as two equal
+rows, so that it runs a larger batch's GEMM kernel, and the later layers
+give each row the same bits at batches 1 to 4 (at d=2, not from 5 on).
 """
 
 from __future__ import annotations
@@ -160,7 +165,10 @@ class Dense(Layer):
 
     def forward(self, x):
         self._ctx = x
-        y = x @ self.params["W"]
+        if len(x) == 1:  # numpy sends one row to gemv, whose sums round unlike a gemm row's
+            y = (np.repeat(x, 2, axis=0) @ self.params["W"])[:1]
+        else:
+            y = x @ self.params["W"]
         y += self.params["b"]
         return y
 

@@ -7,6 +7,10 @@ occupied bin) are accepted with a small relaxation probability; anything
 further out is rejected. Candidates whose decay never supports an estimate
 count as rejections too, which is exactly how noisy generator outputs with
 runaway reverberation get filtered.
+
+Generation runs the generator on batches of candidates, at most as many as
+the accepts still needed, and draws latents and relaxation coins from two
+separate seeded streams, so no output depends on how the tries were batched.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ from .acoustics import AcousticParams, analyze
 from .audio import Rir
 
 PARAM_NAMES = ("t60", "drr", "edt", "cte")
+# most rows per generator forward in generate_constrained: up to 4, a row has
+# the bits of its one-row forward (a d=2 row does not at 5 and more)
+_CHUNK = 4
 
 
 class GenerationStalledError(RuntimeError):
@@ -229,9 +236,13 @@ def generate_constrained(model, hists: ParamHistograms, n: int,
                          ) -> tuple[list[Rir], GenerationReport]:
     """Sample the generator until n candidates pass the histogram constraint.
 
-    Each try runs the generator on a one-row latent batch. One seeded rng
-    drives latent draws and relaxation draws, so output is a pure function of
-    (model, histograms, n, config). Raises
+    Each try draws its own latent row, and one forward runs the rows of up to
+    _CHUNK tries, never more than the accepts still needed, so every row is
+    examined, in order, unless a stall ends the call. A row's bits do not
+    depend on its batch, so neither do the outputs. Two streams spawned from
+    config.rng_seed, one for latents and one for relaxation draws, make the
+    output a pure function of (model, histograms, n, config), and the first
+    m outputs of a call for n >= m those of a call for m. Raises
     GenerationStalledError when a single sample burns max_tries_per_sample
     attempts without an accept.
     """
@@ -239,32 +250,36 @@ def generate_constrained(model, hists: ParamHistograms, n: int,
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(config.rng_seed)
+    latent_rng, coin_rng = map(np.random.default_rng,
+                               np.random.SeedSequence(config.rng_seed).spawn(2))
     report = GenerationReport()
     out: list[Rir] = []
+    tries = 0  # since the last accept
     while len(out) < n:
-        for _ in range(config.max_tries_per_sample):
+        z = np.concatenate([sample_latent(latent_rng, 1)
+                            for _ in range(min(n - len(out), _CHUNK))])
+        for wave in model.generator.forward(z):
             report.tries += 1
-            z = sample_latent(rng, 1)
-            wave = model.generator.forward(z)[0]
+            tries += 1
             try:
                 rir = Rir.from_samples(wave)
                 params = analyze(rir)
             except ValueError as exc:  # an EstimationError names its parameter
                 report.record_rejection([getattr(exc, "parameter", "") or "invalid"])
-                continue
-            decision = accept(params, hists, config.relax_prob, rng)
-            if decision:
-                report.accepted += 1
-                out.append(rir)
-                break
-            report.record_rejection(decision.violations)
-        else:
-            raise GenerationStalledError(
-                f"no accepted sample in {config.max_tries_per_sample} tries "
-                f"(got {len(out)}/{n}); the model does not fit the constraints",
-                report,
-            )
+            else:
+                decision = accept(params, hists, config.relax_prob, coin_rng)
+                if decision:
+                    report.accepted += 1
+                    out.append(rir)
+                    tries = 0
+                    continue
+                report.record_rejection(decision.violations)
+            if tries == config.max_tries_per_sample:
+                raise GenerationStalledError(
+                    f"no accepted sample in {config.max_tries_per_sample} tries "
+                    f"(got {len(out)}/{n}); the model does not fit the constraints",
+                    report,
+                )
     return out, report
 
 

@@ -265,6 +265,28 @@ def test_generator_only_load_refuses_trailing_bytes(saved):
         load_checkpoint(path, critic=False)
 
 
+def test_numpy_integer_step_and_seed_saved_as_int(tmp_path):
+    model = _d1_model()
+    model.step, model.seed = np.int64(3), np.uint32(4)
+    path = tmp_path / "model.gan"
+    save_checkpoint(model, path)
+    header, _ = split(path)
+    assert (header["step"], header["seed"]) == (3, 4)
+    assert (load_checkpoint(path).step, load_checkpoint(path).seed) == (3, 4)
+
+
+@pytest.mark.parametrize("key, value", [("step", -1), ("seed", -1), ("step", np.int64(-1)),
+                                        ("step", 1.0), ("seed", "4"), ("seed", None)])
+def test_save_refuses_what_the_load_refuses(tmp_path, key, value):
+    model = _d1_model()
+    setattr(model, key, value)
+    path = tmp_path / "model.gan"
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: header needs integers d, "
+                                                        "step >= 0, seed >= 0")):
+        save_checkpoint(model, path)
+    assert not path.exists()
+
+
 def test_generator_only_model_cannot_be_saved(saved, tmp_path):
     _, path = saved
     with pytest.raises(ValueError, match="without a critic"):

@@ -202,6 +202,12 @@ class TestShapes:
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 10, 1), dtype=np.float32))
 
+    def test_dense_one_row_is_row_zero_of_two(self):
+        layer = Dense(100, 64, RNG)
+        x = RNG.uniform(-1, 1, (2, 100)).astype(np.float32)
+        assert layer.forward(x[:1]).tobytes() == layer.forward(x)[:1].tobytes()
+        assert layer.forward(x[:1]).shape == (1, 64)
+
     def test_backward_before_forward_raises(self):
         layer = Dense(4, 4, RNG)
         with pytest.raises(RuntimeError):

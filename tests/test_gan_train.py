@@ -48,6 +48,16 @@ class TestForward:
             assert out.shape == (2, 16384)
             assert np.all(np.abs(out) < 1.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_generator_row_does_not_depend_on_its_batch(self, d):
+        """Up to four rows, as generate_constrained batches them: every row of
+        a batch has the bits of its one-row forward."""
+        gen = Generator(d=d, rng=np.random.default_rng(d))
+        z = sample_latent(np.random.default_rng(9), 4)
+        alone = np.concatenate([gen.forward(z[i : i + 1]) for i in range(4)])
+        for b in (2, 3, 4):
+            assert gen.forward(z[:b]).tobytes() == alone[:b].tobytes()
+
     def test_generator_deterministic(self):
         gen = Generator(d=1, rng=np.random.default_rng(3))
         z = sample_latent(np.random.default_rng(4), 1)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rirkit.acoustics import AcousticParams, EstimationError, analyze
 from rirkit.audio import Rir
 from rirkit.gan.nets import sample_latent
+from rirkit.gan.training import TrainConfig, train
 from rirkit.sampler import (
     PARAM_NAMES,
     GenerationReport,
@@ -21,6 +22,8 @@ from rirkit.sampler import (
     load_histograms,
     save_histograms,
 )
+
+from conftest import exp_decay_rir
 
 
 def params(t60=0.5, drr=-5.0, edt=0.5, cte=3.0):
@@ -251,14 +254,15 @@ class TestHistogramPrimitives:
 class _StubGenerator:
     """Deterministic z -> waveform map emitting exponential decays whose rate
     depends on the latent vector; lets sampler tests run without training.
-    Takes a one-row (1, 100) batch, as generate_constrained passes, and
-    returns a (1, 16384) batch."""
+    Maps an (n, 100) batch to an (n, 16384) batch, each row on its own."""
 
     def __init__(self, t60_range=(0.25, 0.75)):
         self.t60_range = t60_range
 
     def forward(self, z):
-        (z,) = z
+        return np.stack([self._row(row) for row in z])
+
+    def _row(self, z):
         lo, hi = self.t60_range
         u = (float(np.tanh(z.sum() / 10.0)) + 1.0) / 2.0
         t60 = lo + (hi - lo) * u
@@ -267,7 +271,7 @@ class _StubGenerator:
         rng = np.random.default_rng(int(abs(z[0]) * 1e6) + 1)
         h = h * (1.0 + 0.05 * rng.standard_normal(16384))
         h[0] = 1.0
-        return h.astype(np.float32)[None, :]
+        return h.astype(np.float32)
 
 
 class _StubModel:
@@ -337,9 +341,11 @@ class TestGenerateConstrained:
 
 def _reference_generate(model, hists, n, config):
     """generate_constrained with the try loop it had before it became one
-    flat for-loop: its own try counter and two except branches. Changed only
-    to run the generator on a one-row batch."""
-    rng = np.random.default_rng(config.rng_seed)
+    flat for-loop: its own try counter, two except branches and one latent
+    row per generator forward. Changed only to draw latents and relaxation
+    coins from two spawned streams."""
+    latent_rng, coin_rng = map(np.random.default_rng,
+                               np.random.SeedSequence(config.rng_seed).spawn(2))
     report = GenerationReport()
     out = []
     while len(out) < n:
@@ -347,7 +353,7 @@ def _reference_generate(model, hists, n, config):
         while True:
             report.tries += 1
             tries_this_sample += 1
-            z = sample_latent(rng, 1)
+            z = sample_latent(latent_rng, 1)
             wave = model.generator.forward(z)[0]
             try:
                 rir = Rir.from_samples(np.asarray(wave, dtype=np.float32))
@@ -357,7 +363,7 @@ def _reference_generate(model, hists, n, config):
             except ValueError:
                 report.record_rejection(["invalid"])
             else:
-                decision = accept(params, hists, config.relax_prob, rng)
+                decision = accept(params, hists, config.relax_prob, coin_rng)
                 if decision:
                     report.accepted += 1
                     out.append(rir)
@@ -373,19 +379,19 @@ def _reference_generate(model, hists, n, config):
 
 
 class _FaultyStubGenerator(_StubGenerator):
-    """_StubGenerator, but a latent whose first value is below -0.7 gives an
-    all-zero row (no RIR), one above 0.8 a bare impulse (no T60), and one in
-    (0.6, 0.8] an impulse over a faint tail (no EDT)."""
+    """_StubGenerator, but a latent row whose first value is below -0.7 gives
+    an all-zero row (no RIR), one above 0.8 a bare impulse (no T60), and one
+    in (0.6, 0.8] an impulse over a faint tail (no EDT)."""
 
-    def forward(self, z):
-        h = super().forward(z)
-        u = z[0, 0]
+    def _row(self, z):
+        h = super()._row(z)
+        u = z[0]
         if u < -0.7:
             h[:] = 0.0
         elif u > 0.8:
-            h[:, 1:] = 0.0
+            h[1:] = 0.0
         elif u > 0.6:
-            h[:, 1:] *= 0.01
+            h[1:] *= 0.01
         return h
 
 
@@ -403,8 +409,9 @@ class TestFlatTryLoop:
         return rirs, report
 
     def test_relaxed_accepts(self, stub_hists):
+        # seed 10: one of the first seeds whose 40 accepts include a relaxed one
         rirs, _ = self._assert_same(_StubModel(), stub_hists, 40,
-                                    SamplerConfig(relax_prob=0.05, rng_seed=2))
+                                    SamplerConfig(relax_prob=0.05, rng_seed=10))
         relaxed = [r for r in rirs
                    if not all(stub_hists[name].in_support(getattr(analyze(r), name))
                               for name in PARAM_NAMES)]
@@ -413,8 +420,9 @@ class TestFlatTryLoop:
     def test_invalid_rows_and_estimation_errors(self, stub_hists):
         model = _StubModel()
         model.generator = _FaultyStubGenerator()
+        # seed 7: its tries meet all three faults
         _, report = self._assert_same(model, stub_hists, 10,
-                                      SamplerConfig(relax_prob=0.05, rng_seed=4))
+                                      SamplerConfig(relax_prob=0.05, rng_seed=7))
         by_param = report.rejections_by_param
         assert by_param["invalid"] > 0 and by_param["t60"] > 0 and by_param["edt"] > 0
 
@@ -428,6 +436,38 @@ class TestFlatTryLoop:
         assert str(new.value) == str(ref.value)
         assert new.value.report == ref.value.report
         assert new.value.report.tries == 10
+
+    def test_stall_inside_a_chunk(self, stub_hists):
+        """n=3 runs one forward of three rows; the stall comes at the second
+        row, and the third is not counted as a try."""
+        model = _StubModel(t60_range=(2.5, 3.5))
+        cfg = SamplerConfig(relax_prob=0.0, rng_seed=0, max_tries_per_sample=2)
+        with pytest.raises(GenerationStalledError) as new:
+            generate_constrained(model, stub_hists, 3, cfg)
+        with pytest.raises(GenerationStalledError) as ref:
+            _reference_generate(model, stub_hists, 3, cfg)
+        assert str(new.value) == str(ref.value)
+        assert new.value.report == ref.value.report
+        assert new.value.report.tries == 2
+
+
+def test_first_outputs_do_not_depend_on_n():
+    """On a trained d=2 model, the first m RIRs of a call for 7 are those of a
+    call for m, however the 7 were batched."""
+    cfg = TrainConfig(steps=3, batch_size=8, n_critic=2, d=2, checkpoint_every=0)
+    model = train([exp_decay_rir(t) for t in np.linspace(0.2, 0.8, 8)], cfg).model
+    refs = []
+    for wave in model.generator.forward(sample_latent(np.random.default_rng(1), 32)):
+        try:
+            refs.append(analyze(Rir.from_samples(wave)))
+        except ValueError:
+            continue
+    hists = build_histograms(refs)
+    sampler_cfg = SamplerConfig(rng_seed=3)
+    rirs, _ = generate_constrained(model, hists, 7, sampler_cfg)
+    for m in range(1, 7):
+        first, _ = generate_constrained(model, hists, m, sampler_cfg)
+        assert [r.samples.tobytes() for r in first] == [r.samples.tobytes() for r in rirs[:m]]
 
 
 def test_sampler_config_validation():
