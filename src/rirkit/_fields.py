@@ -8,7 +8,10 @@ the first field of ``obj`` whose value does not match its annotation:
 number), ``str``, or a fixed-length ``tuple[...]`` of those, which takes a
 list or tuple of that length and is stored back as a tuple. Any other
 annotation is a ``TypeError`` too, so no field goes unchecked. Annotations
-are resolved once per class.
+are resolved once per class. ``check_count(name, value, least)`` raises a
+``ValueError`` naming ``name`` for a count below ``least`` or of 2**62 or
+more, which no float32 array fits in a 64-bit address space, so numpy is
+never handed a length it would overflow.
 
 ``read_text(path)`` decodes a file as UTF-8, whatever the locale, and drops
 one leading byte order mark; ``parse_json(text, where)`` parses JSON. Bytes
@@ -67,6 +70,13 @@ def check_fields(obj) -> None:
             raise TypeError(f"{name} must be {desc}, got {value!r}")
         if isinstance(value, list):  # only a tuple field takes a list
             object.__setattr__(obj, name, tuple(value))
+
+
+def check_count(name: str, value: int, least: int) -> None:
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    if value >= 2**62:
+        raise ValueError(f"{name} must be < 2**62, got {value}")
 
 
 def read_text(path: str | Path) -> str:

@@ -67,13 +67,6 @@ class DecayCurve:
     peak: int
 
 
-def _samples(rir: RirLike) -> np.ndarray:
-    s = np.asarray(rir.samples if isinstance(rir, Rir) else rir, dtype=np.float64)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("impulse response must be a non-empty 1-D vector")
-    return s
-
-
 def energy_decay_curve(rir: RirLike) -> DecayCurve:
     """Backward-integrated squared response, as dB relative to total energy:
 
@@ -81,7 +74,9 @@ def energy_decay_curve(rir: RirLike) -> DecayCurve:
 
     Values where the remaining energy is zero are clamped to EDC_FLOOR_DB.
     """
-    s = _samples(rir)
+    s = np.asarray(rir.samples if isinstance(rir, Rir) else rir, dtype=np.float64)
+    if s.ndim != 1 or s.size == 0:
+        raise ValueError("impulse response must be a non-empty 1-D vector")
     energy = s * s
     tail = np.cumsum(energy[::-1])[::-1]
     if tail[0] <= 0.0:

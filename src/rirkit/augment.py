@@ -46,13 +46,11 @@ class AugmentSpec:
         if not np.isfinite(self.snr_range).all():
             raise ValueError("snr_range must be finite")
         lo, hi = self.snr_range
-        if not (0 < lo <= hi) and not self.snr_in_db:
-            raise ValueError("snr_range must satisfy 0 < lo <= hi")
-        if self.snr_in_db and lo > hi:
-            raise ValueError("snr_range must satisfy lo <= hi")
-        if self.snr_in_db and not (0 < _linear_snr(lo) and _linear_snr(hi) < math.inf):
-            raise ValueError("snr_range in dB must give linear ratios 10 ** (snr / 10) "
-                             "that are > 0 and finite")
+        r_lo, r_hi = map(_linear_snr, self.snr_range) if self.snr_in_db else (lo, hi)
+        if not (lo <= hi and 0 < r_lo and r_hi < math.inf):
+            raise ValueError("snr_range in dB must satisfy lo <= hi, with linear ratios "
+                             "10 ** (snr / 10) > 0 and finite" if self.snr_in_db
+                             else "snr_range must satisfy 0 < lo <= hi")
 
 
 def _linear_snr(db: float) -> float:
@@ -220,36 +218,33 @@ def augment_corpus(
     noise_at = functools.cache(_load_at_rir_rate)
     id_counts = Counter(utt_id for utt_id, _ in clean_manifest)
 
-    def one(item: tuple[str, str]) -> MixRecord:
+    def run(item: tuple[str, str]) -> MixRecord | tuple[str, str]:
         utt_id, clean_path = item
-        if utt_id in ("", ".", "..") or "/" in utt_id or os.sep in utt_id:
-            raise ValueError(f"utt_id {utt_id!r} is not a bare file name")
-        if id_counts[utt_id] > 1:
-            raise ValueError(f"utt_id {utt_id!r} repeats in the clean manifest")
-        rng = _utt_rng(spec.rng_seed, utt_id)
-        rir_entry = rir_pool.entries[int(rng.integers(len(rir_pool.entries)))]
-        noise_entry = noise_pool.entries[int(rng.integers(len(noise_pool.entries)))]
-        lo, hi = spec.snr_range
-        snr = float(rng.uniform(lo, hi))
-        linear_snr = _linear_snr(snr) if spec.snr_in_db else snr
+        try:  # per-utterance isolation
+            if utt_id in ("", ".", "..") or "/" in utt_id or os.sep in utt_id:
+                raise ValueError(f"utt_id {utt_id!r} is not a bare file name")
+            if id_counts[utt_id] > 1:
+                raise ValueError(f"utt_id {utt_id!r} repeats in the clean manifest")
+            rng = _utt_rng(spec.rng_seed, utt_id)
+            rir_entry = rir_pool.entries[int(rng.integers(len(rir_pool.entries)))]
+            noise_entry = noise_pool.entries[int(rng.integers(len(noise_pool.entries)))]
+            lo, hi = spec.snr_range
+            snr = float(rng.uniform(lo, hi))
+            linear_snr = _linear_snr(snr) if spec.snr_in_db else snr
 
-        clean = _load_at_rir_rate(clean_path)
-        rir = rir_at(rir_entry.path)
-        noise = noise_at(noise_entry.path)
-        k = int(rng.integers(len(noise)))
+            clean = _load_at_rir_rate(clean_path)
+            rir = rir_at(rir_entry.path)
+            noise = noise_at(noise_entry.path)
+            k = int(rng.integers(len(noise)))
 
-        mixed, rec = mix(clean, rir, noise, linear_snr, k)
-        out_file = out_path / f"{utt_id}.wav"
-        save_wav(mixed, out_file)
-        return replace(rec, utt_id=utt_id, clean_path=clean_path,
-                       rir_id=rir_entry.id, noise_id=noise_entry.id, snr=snr,
-                       out_path=str(out_file))
-
-    def run(item) -> MixRecord | tuple[str, str]:
-        try:
-            return one(item)
-        except Exception as exc:  # per-utterance isolation
-            return item[0], str(exc)
+            mixed, rec = mix(clean, rir, noise, linear_snr, k)
+            out_file = out_path / f"{utt_id}.wav"
+            save_wav(mixed, out_file)
+            return replace(rec, utt_id=utt_id, clean_path=clean_path,
+                           rir_id=rir_entry.id, noise_id=noise_entry.id, snr=snr,
+                           out_path=str(out_file))
+        except Exception as exc:
+            return utt_id, str(exc)
 
     outcomes = _map(run, clean_manifest, threads)
     records = sorted((r for r in outcomes if isinstance(r, MixRecord)), key=lambda r: r.utt_id)

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import acoustics, augment, corpus, sampler
-from ._fields import parse_json, read_text
+from ._fields import check_count, parse_json, read_text
 from .audio import load_rir, save_wav
 from .gan.checkpoint import load_checkpoint
 from .gan.training import TrainConfig, TrainingDivergedError, train
@@ -96,8 +96,8 @@ def _from_config(cls, cfg: dict, path: Path | None, seed: int | None):
 
 
 def _cmd_analyze(args) -> int:
-    if args.hist and args.bins < 2:  # refused before any RIR is read
-        raise ValueError(f"--bins must be >= 2, got {args.bins}")
+    if args.hist:  # refused before any RIR is read
+        check_count("--bins", args.bins, 2)
     rows, failures = [], []
     for path in args.rirs:  # per-RIR isolation; each failure names its file once
         named = ""  # load_rir's errors already name the file

@@ -11,9 +11,9 @@ tensor. Only then does it build a float32 model with zero weights (no random
 initialisation) and read each blob into its tensor in place, in blocks of
 leading-axis rows through one reused buffer of at most a mebibyte (or one
 row, if a row is larger), so a load peaks at the model plus one bounded read
-buffer; saving writes the same blocks, and refuses a step or seed that the
-load would refuse, before it opens the file (a numpy integer is written as
-an int). A generator-only load (critic=False) makes the same checks, but
+buffer; saving runs the load's header check on the header it writes, so it
+refuses, before it opens the file, every header that the load would refuse
+(a numpy integer is written as an int), and then writes the same blocks. A generator-only load (critic=False) makes the same checks, but
 builds no critic and leaves its blobs unread.
 """
 
@@ -58,25 +58,45 @@ def _blocks(arr: np.ndarray) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, len(arr), rows)]
 
 
+def _layout(header, path) -> list[tuple[dict, np.ndarray]]:
+    """The zero-byte layout of the model a parsed header describes, or
+    CheckpointError: the one header rule that a load and a save both run."""
+    from .nets import Critic, Generator
+
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header")
+    d, step, seed, latent_dist, radius = (header.get(key) for key in (
+        "d", "step", "seed", "latent_dist", "shuffle_radius"))
+    if (latent_dist != "uniform" or not all(type(v) is int for v in (d, step, seed, radius))
+            or min(step, seed) < 0):
+        raise CheckpointError(f"{path}: {_HEADER_RULE}")
+    try:  # shapes only: zero-byte tensors, so nothing is allocated yet
+        layout = _tensors(Generator(d, dtype=_NO_BYTES),
+                          Critic(d, shuffle_radius=radius, dtype=_NO_BYTES))
+    except ValueError as exc:  # the nets refuse what they cannot build, numpy a huge d
+        raise CheckpointError(f"{path}: no d={d} model can be built ({exc})") from None
+    if header.get("params") != [entry for entry, _ in layout]:
+        raise CheckpointError(f"{path}: parameter manifest differs from a d={d} model's")
+    return layout
+
+
 def save_checkpoint(model, path: str | Path) -> None:
     if model.critic is None:
         raise ValueError("cannot save a model without a critic (a generator-only load)")
-    try:  # numpy integers are written as int
-        step, seed = operator.index(model.step), operator.index(model.seed)
-    except TypeError:
-        raise CheckpointError(f"{path}: {_HEADER_RULE}") from None
-    if min(step, seed) < 0:
-        raise CheckpointError(f"{path}: {_HEADER_RULE}")
     tensors = _tensors(model.generator, model.critic)
     header = {
         "d": model.d,
-        "step": step,
-        "seed": seed,
+        "step": model.step,
+        "seed": model.seed,
         "latent_dist": "uniform",
         "shuffle_radius": model.critic.shuffle_radius,
         "params": [entry for entry, _ in tensors],
     }
-    blob = json.dumps(header).encode("utf-8")
+    try:  # numpy integers are written as int
+        blob = json.dumps(header, default=operator.index).encode("utf-8")
+    except TypeError:
+        raise CheckpointError(f"{path}: {_HEADER_RULE}") from None
+    _layout(json.loads(blob), path)
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(blob)))
@@ -105,21 +125,8 @@ def load_checkpoint(path: str | Path, critic: bool = True):
             header = parse_json(f.read(min(hlen, size)).decode("utf-8"), path)
         except ValueError as exc:
             raise CheckpointError(f"{path}: corrupt header") from exc
-        if not isinstance(header, dict):
-            raise CheckpointError(f"{path}: corrupt header")
-        d, step, seed, latent_dist, radius = (header.get(key) for key in (
-            "d", "step", "seed", "latent_dist", "shuffle_radius"))
-        if (latent_dist != "uniform" or not all(type(v) is int for v in (d, step, seed, radius))
-                or min(step, seed) < 0):
-            raise CheckpointError(f"{path}: {_HEADER_RULE}")
-
-        try:  # shapes only: zero-byte tensors, so nothing is allocated yet
-            layout = _tensors(Generator(d, dtype=_NO_BYTES),
-                              Critic(d, shuffle_radius=radius, dtype=_NO_BYTES))
-        except ValueError as exc:  # the nets refuse what they cannot build, numpy a huge d
-            raise CheckpointError(f"{path}: no d={d} model can be built ({exc})") from None
-        if header.get("params") != [entry for entry, _ in layout]:
-            raise CheckpointError(f"{path}: parameter manifest differs from a d={d} model's")
+        layout = _layout(header, path)
+        d, step, seed, radius = (header[key] for key in ("d", "step", "seed", "shuffle_radius"))
         left = size - f.tell()
         for entry, arr in layout:  # math.prod: a zero-byte array's size can overflow
             left -= 4 * math.prod(arr.shape)

@@ -144,12 +144,6 @@ class Layer:
         self.grads: dict[str, np.ndarray] = {}
         self._ctx = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, gy: np.ndarray, param_grads: bool = True) -> np.ndarray:
-        raise NotImplementedError
-
     def _require_ctx(self):
         if self._ctx is None:
             raise RuntimeError(f"{type(self).__name__}.backward called before forward")

@@ -31,7 +31,6 @@ from .layers import (
 LATENT_DIM = 100
 KERNEL = 25
 STRIDE = 4
-LEAKY_SLOPE = 0.2
 # a shift must be shorter than the critic's last shuffled map, RIR_LENGTH // STRIDE**4
 MAX_SHUFFLE_RADIUS = RIR_LENGTH // STRIDE**4 - 1
 
@@ -119,7 +118,7 @@ class Generator(_Net):
     n_in = LATENT_DIM
     out_shape = (RIR_LENGTH,)
 
-    def __init__(self, d: int = 4, rng: np.random.Generator | None = None,
+    def __init__(self, d: int, rng: np.random.Generator | None = None,
                  dtype=np.float32):
         super().__init__(d, dtype)
         widths = [16 * d, 8 * d, 4 * d, 2 * d, d, 1]
@@ -144,7 +143,7 @@ class Critic(_Net):
     n_in = RIR_LENGTH
     out_shape = ()
 
-    def __init__(self, d: int = 4, shuffle_radius: int = 2,
+    def __init__(self, d: int, shuffle_radius: int = 2,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         super().__init__(d, dtype)
         if not 0 <= shuffle_radius <= MAX_SHUFFLE_RADIUS:
@@ -156,7 +155,7 @@ class Critic(_Net):
         for i in range(5):
             self._add(Conv1d(widths[i], widths[i + 1], KERNEL, STRIDE, rng, dtype),
                       f"conv{i + 1}")
-            self._add(LeakyReLU(LEAKY_SLOPE))
+            self._add(LeakyReLU())
             if i < 4:
                 self._add(PhaseShuffle(shuffle_radius))
         self._add(Reshape(16 * 16 * d))

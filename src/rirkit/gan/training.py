@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .._fields import check_fields, write_csv
+from .._fields import check_count, check_fields, write_csv
 from ..audio import Rir
 from .checkpoint import save_checkpoint
 from .nets import MAX_SHUFFLE_RADIUS, Critic, GanModel, Generator, sample_latent
@@ -44,8 +44,9 @@ class TrainConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.steps < 1 or self.batch_size < 1 or self.n_critic < 1 or self.d < 1:
-            raise ValueError("steps, batch_size, n_critic and d must all be >= 1")
+        if self.steps < 1 or self.n_critic < 1 or self.d < 1:
+            raise ValueError("steps, n_critic and d must all be >= 1")
+        check_count("batch_size", self.batch_size, 1)
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be >= 0")
         if not 0 <= self.shuffle_radius <= MAX_SHUFFLE_RADIUS:  # early, to name the file

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ._fields import check_fields, parse_json, read_text, write_csv
+from ._fields import check_count, check_fields, parse_json, read_text, write_csv
 from .acoustics import AcousticParams, analyze
 from .audio import Rir
 
@@ -54,8 +54,7 @@ class SamplerConfig:
         check_fields(self)
         if not 0.0 <= self.relax_prob <= 1.0:  # NaN included
             raise ValueError("relax_prob must be in [0, 1]")
-        if self.bins_per_param < 2:
-            raise ValueError("bins_per_param must be >= 2")
+        check_count("bins_per_param", self.bins_per_param, 2)
         if self.max_tries_per_sample < 1:
             raise ValueError("max_tries_per_sample must be >= 1")
         if self.rng_seed < 0:

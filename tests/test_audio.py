@@ -1,3 +1,4 @@
+import re
 import struct
 from math import gcd
 
@@ -112,6 +113,17 @@ class TestLoadWav:
         p = tmp_path / "half.wav"
         p.write_bytes(pcm16_wav_bytes([100, -100, 200], 16000, channels=2))
         with pytest.raises(WavFormatError):
+            load_wav(p)
+
+    @pytest.mark.parametrize("wav, says", [
+        (pcm16_wav_bytes([1, 2], 16000, channels=0), "invalid fmt fields"),
+        (pcm16_wav_bytes([1, 2], 0), "invalid fmt fields"),
+        (pcm16_wav_bytes([], 16000), "empty data chunk"),
+    ], ids=["no channels", "rate 0", "empty data"])
+    def test_fmt_fields_and_empty_data_refused(self, tmp_path, wav, says):
+        p = tmp_path / "bad.wav"
+        p.write_bytes(wav)
+        with pytest.raises(WavFormatError, match=re.escape(f"{p}: {says}")):
             load_wav(p)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -246,6 +246,17 @@ class TestAugmentCorpus:
         assert len(records) == len(clean) - 1
         assert len(failures) == 1 and failures[0][0] == "uttXX"
 
+    def test_clean_wav_the_resampler_refuses_names_the_file_once(self, tmp_path):
+        clean, rirs, noises = make_corpus(tmp_path, n_utts=1)
+        path = tmp_path / "huge_rate.wav"
+        save_wav(buf(np.full(100, 0.1), 65537), path)
+        records, failures = augment_corpus([*clean, ("uttXX", str(path))], rirs, noises,
+                                           AugmentSpec(rng_seed=1), tmp_path / "out")
+        assert [r.utt_id for r in records] == [clean[0][0]]
+        [(utt_id, message)] = failures
+        assert utt_id == "uttXX" and message.startswith(f"{path}: ")
+        assert message.count(str(path)) == 1
+
     def test_unsafe_or_repeated_ids_fail_without_writing(self, tmp_path):
         clean, rirs, noises = make_corpus(tmp_path, n_utts=2)
         path = clean[0][1]
@@ -327,6 +338,8 @@ def test_spec_validation():
         AugmentSpec(snr_range=(0.0, 10.0))
     with pytest.raises(ValueError):
         AugmentSpec(snr_range=(5.0, 1.0))
+    with pytest.raises(ValueError, match=r"^snr_range .*lo <= hi"):
+        AugmentSpec(snr_range=(5.0, 1.0), snr_in_db=True)
     with pytest.raises(TypeError):  # every utterance is mixed at RIR_RATE
         AugmentSpec(sample_rate=8000)
 

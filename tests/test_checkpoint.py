@@ -173,6 +173,15 @@ def test_header_byte_replaced(d1_file, where, value):
         pass
 
 
+@pytest.mark.parametrize("critic", [True, False])
+@pytest.mark.parametrize("header", [[1, 2], "d", 3, None])
+def test_header_that_is_not_an_object_refused(saved, header, critic):
+    _, path = saved
+    join(path, header, split(path)[1])
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: corrupt header")):
+        load_checkpoint(path, critic=critic)
+
+
 # generator-only loads: the same checks, the critic's blobs skipped unread
 
 def test_generator_only_load_restores_the_generator(saved):
@@ -268,15 +277,20 @@ def test_generator_only_load_refuses_trailing_bytes(saved):
 def test_numpy_integer_step_and_seed_saved_as_int(tmp_path):
     model = _d1_model()
     model.step, model.seed = np.int64(3), np.uint32(4)
+    model.d, model.critic.shuffle_radius = np.int64(1), np.int64(2)
     path = tmp_path / "model.gan"
     save_checkpoint(model, path)
     header, _ = split(path)
     assert (header["step"], header["seed"]) == (3, 4)
-    assert (load_checkpoint(path).step, load_checkpoint(path).seed) == (3, 4)
+    assert (header["d"], header["shuffle_radius"]) == (1, 2)
+    loaded = load_checkpoint(path)
+    assert (loaded.step, loaded.seed) == (3, 4)
+    assert (loaded.d, loaded.critic.shuffle_radius) == (1, 2)
 
 
 @pytest.mark.parametrize("key, value", [("step", -1), ("seed", -1), ("step", np.int64(-1)),
-                                        ("step", 1.0), ("seed", "4"), ("seed", None)])
+                                        ("step", 1.0), ("seed", "4"), ("seed", None),
+                                        ("d", True), ("d", 1.0)])
 def test_save_refuses_what_the_load_refuses(tmp_path, key, value):
     model = _d1_model()
     setattr(model, key, value)
@@ -285,6 +299,49 @@ def test_save_refuses_what_the_load_refuses(tmp_path, key, value):
                                                         "step >= 0, seed >= 0")):
         save_checkpoint(model, path)
     assert not path.exists()
+
+
+def test_save_refuses_a_d_its_nets_were_not_built_with(tmp_path):
+    model = _d1_model()
+    model.d = 2
+    path = tmp_path / "model.gan"
+    with pytest.raises(CheckpointError,
+                       match=re.escape(f"{path}: parameter manifest differs from a d=2 model's")):
+        save_checkpoint(model, path)
+    assert not path.exists()
+
+
+# what a caller may leave in a model's d, step or seed: ints (negatives
+# included), numpy integers, bools and floats
+_FIELD_VALUES = st.one_of(st.integers(-3, 2**70), st.integers(-3, 2**40).map(np.int64),
+                          st.booleans(), st.floats(-3.0, 1e20))
+
+
+@pytest.fixture(scope="module")
+def d1_model():
+    return _d1_model()
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2]), step=_FIELD_VALUES, seed=_FIELD_VALUES)
+def test_save_refuses_or_the_load_restores_every_bit(d1_model, tmp_path_factory, d, step,
+                                                     seed):
+    path = tmp_path_factory.mktemp("prop") / "model.gan"
+    d1_model.d, d1_model.step, d1_model.seed = d, step, seed
+    saves = d == 1 and all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                           and v >= 0 for v in (step, seed))
+    try:
+        save_checkpoint(d1_model, path)
+    except CheckpointError:
+        assert not saves and not path.exists()
+        return
+    assert saves
+    loaded = load_checkpoint(path)
+    assert (loaded.d, loaded.step, loaded.seed) == (1, step, seed)
+    for net in ("generator", "critic"):
+        for a, b in zip(getattr(d1_model, net).param_arrays(),
+                        getattr(loaded, net).param_arrays()):
+            assert a.tobytes() == b.tobytes()
 
 
 def test_generator_only_model_cannot_be_saved(saved, tmp_path):

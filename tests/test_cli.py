@@ -454,6 +454,15 @@ BAD_INPUTS = {
     "analyze bins past memory": lambda ws, tmp: [
         "analyze", *sorted(str(p) for p in ws.glob("rir_*.wav"))[:3],
         "--hist", str(tmp / "h.json"), "--bins", "1000000000000"],
+    "analyze bins past any array length": lambda ws, tmp: [
+        "analyze", *sorted(str(p) for p in ws.glob("rir_*.wav"))[:2],
+        "--hist", str(tmp / "h.json"), "--bins", str(2**63 - 1)],
+    "train batch_size past any array length": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {**_D1_TRAIN, "pool": str(ws / "rirs.csv"),
+                                           "batch_size": 2**63})],
+    "train batch_size past a C long": lambda ws, tmp: [
+        "train", "--config", _config(tmp, {**_D1_TRAIN, "pool": str(ws / "rirs.csv"),
+                                           "batch_size": 10**20})],
 }
 
 # cases whose error line must name the file that could not be read
@@ -483,6 +492,8 @@ NAMED_FILE = {
     "train shuffle_radius past the critic's last shuffle": "config.json",
     "pool row with four fields": "pool.csv",
     "checkpoint shuffle_radius past the critic's last shuffle": "model.gan",
+    "train batch_size past any array length": "config.json",
+    "train batch_size past a C long": "config.json",
 }
 
 # cases whose error line must say what was refused: the flag, the field, the
@@ -498,6 +509,9 @@ SAYS = {
     "pool row with four fields": "line 1: expected id,source,path",
     "checkpoint shuffle_radius past the critic's last shuffle":
         "no d=1 model can be built (shuffle_radius must be in [0, 63], got 64)",
+    "analyze bins past any array length": f"--bins must be < 2**62, got {2**63 - 1}",
+    "train batch_size past any array length": f"batch_size must be < 2**62, got {2**63}",
+    "train batch_size past a C long": f"batch_size must be < 2**62, got {10**20}",
     "analyze bins past memory": "Unable to allocate",
 }
 

@@ -296,6 +296,11 @@ class TestTrainLoop:
         for field in ("clip_c", "learning_rate"):
             with pytest.raises(ValueError, match=rf"^{field} must be > 0 and finite, got inf"):
                 TrainConfig(steps=1, **{field: float("inf")})
+        for batch_size in (2**62, 2**63, 10**20):
+            with pytest.raises(ValueError,
+                               match=rf"^batch_size must be < 2\*\*62, got {batch_size}$"):
+                TrainConfig(steps=1, batch_size=batch_size)
+        assert TrainConfig(steps=1, batch_size=2**62 - 1).batch_size == 2**62 - 1
 
     def test_shuffle_radius_fits_the_critics_last_shuffle(self):
         """The critic's last phase shuffle runs on 64 samples, so 63 is the

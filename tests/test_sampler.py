@@ -59,6 +59,8 @@ class TestBuildHistograms:
         assert h.total_count == 967
         for name in ("t60", "drr", "edt", "cte"):
             assert int(h[name].counts.sum()) == 967
+        with pytest.raises(KeyError):
+            h["bogus"]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -311,6 +313,10 @@ class TestGenerateConstrained:
         assert report.accepted + report.rejected == report.tries
         assert report.accepted == 20
 
+    def test_n_below_one_refused(self, stub_hists):
+        with pytest.raises(ValueError, match="^n must be >= 1"):
+            generate_constrained(_StubModel(), stub_hists, 0, SamplerConfig())
+
     def test_deterministic(self, stub_hists):
         cfg = SamplerConfig(relax_prob=0.05, rng_seed=5)
         a, _ = generate_constrained(_StubModel(), stub_hists, 5, cfg)
@@ -484,7 +490,8 @@ def test_sampler_config_validation():
     ("max_tries_per_sample", 1.5, TypeError), ("max_tries_per_sample", "200", TypeError),
     ("rng_seed", None, TypeError), ("rng_seed", False, TypeError),
     ("relax_prob", True, TypeError), ("relax_prob", "0.05", TypeError),
-    ("relax_prob", float("nan"), ValueError),
+    ("relax_prob", float("nan"), ValueError), ("bins_per_param", 1, ValueError),
+    ("bins_per_param", 2**62, ValueError),
 ])
 def test_sampler_config_rejects_mistyped_fields(field, value, error):
     with pytest.raises(error, match=rf"^{field} must be"):
