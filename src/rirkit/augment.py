@@ -93,10 +93,19 @@ def looped_noise(noise: AudioBuffer, k: int, length: int) -> AudioBuffer:
     return AudioBuffer(out, noise.sample_rate)
 
 
+def _finite(value: float, snr: float) -> float:
+    """value, or a ValueError naming the SNR that made it overflow."""
+    if not math.isfinite(value):
+        raise ValueError(f"snr {snr!r} (a linear power ratio) makes the noise weight "
+                         "or the mix overflow")
+    return value
+
+
 def compute_alpha(reverberant: AudioBuffer, noise_segment: AudioBuffer,
                   snr: float) -> float:
     """Noise weight for a requested linear power-ratio SNR:
-    alpha = sqrt(P_signal / (snr * P_noise))."""
+    alpha = sqrt(P_signal / (snr * P_noise)). An snr so small that alpha
+    overflows (a subnormal one, say) is a ValueError naming it."""
     if snr <= 0:
         raise ValueError("snr must be a positive linear power ratio")
     if len(reverberant) != len(noise_segment):
@@ -105,7 +114,8 @@ def compute_alpha(reverberant: AudioBuffer, noise_segment: AudioBuffer,
     p_n = float(np.mean(np.square(noise_segment.samples, dtype=np.float64)))
     if p_n <= 0.0:
         raise ValueError("noise segment has zero power")
-    return float(np.sqrt(p_s / (snr * p_n)))
+    denom = snr * p_n  # 0.0 where it underflows
+    return _finite(math.sqrt(p_s / denom) if denom > 0 else math.inf, snr)
 
 
 def mix(clean: AudioBuffer, rir: AudioBuffer, noise: AudioBuffer,
@@ -124,8 +134,9 @@ def mix(clean: AudioBuffer, rir: AudioBuffer, noise: AudioBuffer,
         alpha = float(alpha_override)
     else:
         alpha = compute_alpha(rev_buf, seg, snr)
-    y = rev_s + alpha * seg.samples.astype(np.float64)
-    peak = float(np.max(np.abs(y)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite, not printed
+        y = rev_s + alpha * seg.samples.astype(np.float64)
+    peak = _finite(float(np.max(np.abs(y))), snr)
     rescale = 1.0 / peak if peak > 1.0 else 1.0
     record = MixRecord("", "", "", "", float(snr), int(k), alpha, rescale, "")
     return AudioBuffer((y * rescale).astype(np.float32), clean.sample_rate), record

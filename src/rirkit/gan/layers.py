@@ -18,13 +18,29 @@ each window back at stride s, then crop the padding) serves
 takes the inputs and the tap-major (n, k * c) weight matrix, never the
 (b, t, k, c) tensor of every window's contribution. It works in s-wide phase
 blocks (Odena et al., "Deconvolution and Checkerboard Artifacts", 2016): the
-output is viewed as rows of s samples, and block m is one GEMM against weight
-columns m*s*c .. (m*s+s)*c, added into rows m .. m+t-1 at once, one
-contiguous run per batch row. Every output sample sums its taps in ascending
-order, so the result is that of a tap-by-tap loop over the block products.
-Each block GEMM keeps the full inner width n, but a narrower GEMM may take
-another BLAS kernel than one over all taps, so a block product can differ
-from the same columns of that one product in the last bit.
+output is viewed as rows of s samples, and block m is the product of the
+inputs and weight columns m*s*c .. (m*s+s)*c, added into rows m .. m+t-1 at
+once, one contiguous run per batch row. Every output sample sums its taps in
+ascending order, so the result is that of a tap-by-tap loop over the block
+products. Each block product keeps the full inner width n, but a narrower GEMM
+may take another BLAS kernel than one over all taps, so a block product can
+differ from the same columns of that one product in the last bit. A block
+is multiplied in one of two ways, chosen by its size alone, so that a layer
+takes the same path at every batch size:
+- a block of ``_LEFT_OPERAND_SIZE`` (2**18) elements or more, as the left
+  operand of one GEMM over all b * t input rows, (block.T @ inputs.T).T. Both
+  callers pass the transpose of a C-contiguous weight buffer, so the block's
+  rows are C-contiguous, and OpenBLAS packs such a left operand about twice as
+  fast as a right operand. At d=64 this covers the generator's tconv1 and
+  tconv2, which hold 65 of its 70 MB of weights, and the input gradients of
+  the critic's conv4 and conv5. The product comes out transposed, so its add
+  into the output reads it strided: at batch 16 that costs tconv2 more than
+  the packing saves, at batches 1 to 8 no more;
+- any other block, copied C-contiguous, by one GEMM per batch row (numpy's
+  matmul over the (b, t, n) stack). One GEMM over all b * t rows can change
+  BLAS kernel as b grows, and with it a row's bits: with OpenBLAS 0.3.31 it
+  did at 42 of the widths d=1..64, at batches 2 to 4. Per batch row, none
+  did.
 
 Bias passes work on long rows too. ``_add_bias`` adds the bias tiled to a
 (time, channel) block, in place, so each batch row is one long add, with the
@@ -33,16 +49,18 @@ rows first and then over the (time, channel) remainder; it is numpy only, so
 no BLAS thread count can change its bits.
 
 Conv weights keep their public (kernel, c_in, c_out) shape, and each layer
-type stores them so that its GEMMs read free views, never a copy per call:
+type stores them so that its GEMMs read free views, never a copy per call
+(but of ``_overlap_add``'s blocks under 2**18 elements):
 - ``Conv1d``: a plain C-contiguous (kernel, c_in, c_out) array. Its forward
   matrix (kernel * c_in, c_out), its weight gradient and the transpose of
   that matrix, which ``_overlap_add`` takes for the input gradient, are all
   views (the copy this saves is 52 MB at the d=64 critic's conv5).
-- ``ConvTranspose1d``: a C-contiguous (c_in, kernel, c_out) buffer, and
-  ``params["W"]`` is its transposed view. Its forward reads the buffer as
-  the (c_in, kernel * c_out) matrix and its backward GEMM reads that
-  matrix's transpose; its weight gradient is the same transposed view of a
-  GEMM result.
+- ``ConvTranspose1d``: a C-contiguous (kernel, c_out, c_in) buffer, the
+  weight of the ``Conv1d(c_out -> c_in)`` it is the adjoint of, and
+  ``params["W"]`` is its transposed view. Its forward passes
+  ``_overlap_add`` the transpose of the (kernel * c_out, c_in) buffer, the
+  form ``Conv1d.backward`` passes, and its backward GEMM reads the buffer
+  itself; its weight gradient is the same transposed view of a GEMM result.
 Checkpoints hold each weight in (kernel, c_in, c_out) C order, so files from
 before load unchanged. Weights are updated in place (optimizer, clipping,
 checkpoint loads, and writes through the arrays ``named_params`` returns),
@@ -60,7 +78,8 @@ in-place steps touch only buffers the layer made.
 Up to four rows, a generator row's forward output does not depend on the
 other rows of its batch: ``Dense`` multiplies a one-row batch as two equal
 rows, so that it runs a larger batch's GEMM kernel, and the later layers
-give each row the same bits at batches 1 to 4 (at d=2, not from 5 on).
+give each row the same bits at batches 1 to 4 (tested at d=1, 2, 4, 12, 32
+and 64).
 """
 
 from __future__ import annotations
@@ -98,19 +117,30 @@ def _gather(x: np.ndarray, k: int, s: int, out: np.ndarray | None = None) -> np.
     return out
 
 
+_LEFT_OPERAND_SIZE = 1 << 18  # weight blocks this large are the left GEMM operand
+
+
 def _overlap_add(a: np.ndarray, wm: np.ndarray, k: int, s: int) -> np.ndarray:
     """(b, t, n) inputs and (n, k * c) tap-major weights -> (b, t*s, c): window
     i = a[:, i] @ wm added at offset i*s, then the SAME padding cropped. Each
-    s-tap phase block m is one GEMM, a @ wm[:, m*s*c : (m*s + w)*c], added
-    into output rows m .. m+t-1, where each batch row is one contiguous run."""
+    s-tap phase block m is one product, a @ wm[:, m*s*c : (m*s + w)*c], added
+    into output rows m .. m+t-1, where each batch row is one contiguous run.
+    A block of _LEFT_OPERAND_SIZE elements or more is multiplied as the left
+    operand of one GEMM over all b * t rows, any other block by one GEMM per
+    batch row (see the module docstring)."""
     b, t, n = a.shape
     c = wm.shape[1] // k
     nb = -(-k // s)
-    a2 = a.reshape(b * t, n)
+    a = np.ascontiguousarray(a)  # a strided stack would leave BLAS for numpy's own loop
+    a2t = a.reshape(b * t, n).T
     full = np.zeros((b, t + nb - 1, s * c), dtype=a.dtype)
     for m in range(nb):
         w = min(s, k - m * s)
-        block = a2 @ wm[:, m * s * c : (m * s + w) * c]
+        wb = wm[:, m * s * c : (m * s + w) * c]
+        if wb.size >= _LEFT_OPERAND_SIZE:
+            block = (wb.T @ a2t).T
+        else:
+            block = np.matmul(a, np.ascontiguousarray(wb))
         full[:, m : m + t, : w * c] += block.reshape(b, t, w * c)
     crop = (k - s) // 2
     return full.reshape(b, (t + nb - 1) * s, c)[:, crop : crop + t * s, :]
@@ -226,23 +256,26 @@ class Conv1d(_Conv):
 class ConvTranspose1d(_Conv):
     """Strided 1-D transposed convolution producing stride * input_length samples."""
 
-    _storage = (1, 0, 2)
+    _storage = (0, 2, 1)
+
+    def _wt(self) -> np.ndarray:
+        """The (kernel * c_out, c_in) weight buffer: a ``Conv1d(c_out -> c_in)``'s."""
+        return self.params["W"].transpose(0, 2, 1).reshape(-1, self.c_in)
 
     def forward(self, x):
-        wm = self.params["W"].transpose(1, 0, 2).reshape(self.c_in, -1)  # (c_in, k * c_out)
         self._ctx = x
-        return _add_bias(_overlap_add(x, wm, self.kernel, self.stride), self.params["b"])
+        return _add_bias(_overlap_add(x, self._wt().T, self.kernel, self.stride),
+                         self.params["b"])
 
     def backward(self, gy, param_grads=True):
         x = self._require_ctx()
         b, t, _ = x.shape
         k = self.kernel
-        wm = self.params["W"].transpose(1, 0, 2).reshape(self.c_in, -1)
         v = _gather(gy, k, self.stride)  # (b * t, k * c_out)
-        gx = v @ wm.T
+        gx = v @ self._wt()
         if param_grads:
-            gw = x.reshape(b * t, self.c_in).T @ v
-            self.grads["W"] = gw.reshape(self.c_in, k, self.c_out).transpose(1, 0, 2)
+            gw = v.T @ x.reshape(b * t, self.c_in)
+            self.grads["W"] = gw.reshape(k, self.c_out, self.c_in).transpose(0, 2, 1)
             self.grads["b"] = _bias_grad(gy)
         return gx.reshape(b, t, self.c_in)
 

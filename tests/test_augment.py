@@ -150,6 +150,13 @@ class TestMix:
         measured = 10 * np.log10(np.mean(rev**2) / np.mean((rec.alpha * seg) ** 2))
         assert abs(measured - 10 * np.log10(snr)) < 0.05
 
+    def test_mix_that_overflows_is_refused_naming_the_snr(self, capfd):
+        clean = buf(np.full(100, 0.5, dtype=np.float32))
+        noise = buf(np.full(100, 4.0, dtype=np.float32))
+        with pytest.raises(ValueError, match=r"^snr 2\.0 .* the mix overflow$"):
+            mix(clean, delta_rir(), noise, snr=2.0, k=0, alpha_override=1e308)
+        assert capfd.readouterr() == ("", "")
+
     def test_clipping_rescale_recorded(self):
         clean = buf(np.full(1000, 0.9, dtype=np.float32))
         noise = buf(np.full(100, 0.9, dtype=np.float32))
@@ -289,6 +296,21 @@ class TestAugmentCorpus:
         records, failures = augment_corpus(clean, twice, noises, AugmentSpec(),
                                            tmp_path / "ok")
         assert failures == [] and len(records) == len(clean)
+
+    @pytest.mark.parametrize("snr_range, snr_in_db, linear", [
+        ((5e-324, 5e-324), False, "5e-324"),  # snr * P_noise underflows to 0
+        ((1e-310, 1e-310), False, "1e-310"),  # alpha overflows
+        ((2.3e-308, 2.3e-308), False, "2.3e-308"),
+        ((-3100.0, -3100.0), True, "1e-310"),
+    ])
+    def test_snr_whose_noise_weight_overflows_fails_naming_it(self, tmp_path, capfd,
+                                                              snr_range, snr_in_db, linear):
+        clean, rirs, noises = make_corpus(tmp_path, n_utts=2)
+        spec = AugmentSpec(snr_range=snr_range, rng_seed=1, snr_in_db=snr_in_db)
+        records, failures = augment_corpus(clean, rirs, noises, spec, tmp_path / "out")
+        message = f"snr {linear} (a linear power ratio) makes the noise weight or the mix overflow"
+        assert records == [] and failures == [(u, message) for u, _ in clean]
+        assert capfd.readouterr() == ("", "")
 
     def test_snr_db_interpretation(self, tmp_path):
         clean, rirs, noises = make_corpus(tmp_path, n_utts=1)

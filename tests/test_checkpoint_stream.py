@@ -10,8 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rirkit.gan.checkpoint import (_BLOCK_BYTES, _NO_BYTES, MAGIC, CheckpointError, _blocks,
-                                   _tensors, load_checkpoint, save_checkpoint)
+from rirkit.gan.checkpoint import (_BLOCK_BYTES, _COPY_COLUMNS, _NO_BYTES, MAGIC, CheckpointError,
+                                   _blocks, _tensors, load_checkpoint, save_checkpoint)
 from rirkit.gan.nets import Critic, GanModel, Generator
 
 
@@ -92,6 +92,20 @@ def test_save_load_save_is_byte_identical(d16, tmp_path):
     again = tmp_path / "again.gan"
     save_checkpoint(load_checkpoint(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_save_load_round_trip_with_a_partial_copy_slice(tmp_path):
+    """At d=5 tconv1's c_in is 80: a transposed block is copied in slices of
+    _COPY_COLUMNS, the last one partial, on save and on load."""
+    model = _model(5)
+    tconv1 = model.generator.named_params()[2]
+    assert tconv1[:2] == ("tconv1", "W") and tconv1[2].shape[1] % _COPY_COLUMNS != 0
+    save_checkpoint(model, tmp_path / "a.gan")
+    loaded = load_checkpoint(tmp_path / "a.gan")
+    for a, b in zip(_arrays(model), _arrays(loaded)):
+        assert a.tobytes() == b.tobytes()
+    save_checkpoint(loaded, tmp_path / "b.gan")
+    assert (tmp_path / "b.gan").read_bytes() == (tmp_path / "a.gan").read_bytes()
 
 
 def test_generator_only_load_peaks_at_generator_plus_one_block(d16):

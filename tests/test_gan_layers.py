@@ -126,8 +126,8 @@ def _conv_weights(net):
 def _in_gemm_layout(w, net):
     """(kernel, c_in, c_out) weights stored so that every GEMM reads them as a
     free view: C-contiguous for a critic's Conv1d, and for a generator's
-    ConvTranspose1d a C-contiguous (c_in, kernel, c_out) buffer."""
-    return (w if isinstance(net, Critic) else w.transpose(1, 0, 2)).flags.c_contiguous
+    ConvTranspose1d a C-contiguous (kernel, c_out, c_in) buffer."""
+    return (w if isinstance(net, Critic) else w.transpose(0, 2, 1)).flags.c_contiguous
 
 
 class TestWeightLayout:
@@ -414,16 +414,22 @@ OVERLAP_ADD_CASES = {
     (1, 1024, 25, 64): (4, 128),    # d=64: generator tconv4
     (3, 40, 11, 5): (3, 6),         # stride that does not divide the kernel
     (2, 30, 8, 3): (4, 2),          # stride that divides the kernel
+    (1, 64, 25, 256): (4, 512),     # d=64: generator tconv2
 }
 OVERLAP_ADD_SHAPES = [(shape, s) for shape, (s, _) in OVERLAP_ADD_CASES.items()]
+# weights passed as the layers pass them: the transpose of a C-contiguous
+# (k * c, n) matrix, a Conv1d weight buffer
+ADJOINT_LAYOUT = {(1, 64, 25, 256)}
 
 
 def _gemm_operands(shape, dtype):
     b, t, k, c = shape
     n = OVERLAP_ADD_CASES[shape][1]
     rng = np.random.default_rng(sum(shape) + n)
-    return (rng.standard_normal((b, t, n)).astype(dtype),
-            rng.standard_normal((n, k * c)).astype(dtype))
+    a = rng.standard_normal((b, t, n)).astype(dtype)
+    if shape in ADJOINT_LAYOUT:
+        return a, rng.standard_normal((k * c, n)).astype(dtype).T
+    return a, rng.standard_normal((n, k * c)).astype(dtype)
 
 
 class TestKernelEquivalence:

@@ -48,10 +48,12 @@ class TestForward:
             assert out.shape == (2, 16384)
             assert np.all(np.abs(out) < 1.0)
 
-    @pytest.mark.parametrize("d", [1, 2, 4])
+    @pytest.mark.parametrize("d", [1, 2, 4, 12, 32, 64])
     def test_generator_row_does_not_depend_on_its_batch(self, d):
         """Up to four rows, as generate_constrained batches them: every row of
-        a batch has the bits of its one-row forward."""
+        a batch has the bits of its one-row forward. At d=12 and 32 one GEMM
+        over all b * t rows of a layer would change kernel with b, and d=64
+        multiplies tconv1's and tconv2's weight blocks as the left operand."""
         gen = Generator(d=d, rng=np.random.default_rng(d))
         z = sample_latent(np.random.default_rng(9), 4)
         alone = np.concatenate([gen.forward(z[i : i + 1]) for i in range(4)])
