@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.signal import firwin, resample_poly
 
 from rirkit import audio
@@ -133,6 +134,16 @@ class TestLoadWav:
         with pytest.raises(WavFormatError):
             load_wav(p)
 
+    def test_signalling_nan_refused_silently(self, tmp_path, capfd):
+        # float payloads are not multiplied, so no arithmetic warns on the NaN
+        bits = np.float32([0.25, 0.0, -0.5]).view("<u4")
+        bits[1] = 0x7F800001  # a signalling NaN
+        p = tmp_path / "snan.wav"
+        p.write_bytes(float_wav_bytes(bits.view("<f4"), 16000))
+        with pytest.raises(WavFormatError, match="samples contain NaN or Inf$"):
+            load_wav(p)
+        assert capfd.readouterr() == ("", "")
+
 
 PCM16_WAV = pcm16_wav_bytes([0, 1000, -1000, 32767, -32768, 5, 6, 7], 8000)
 FLOAT_WAV = float_wav_bytes([0.0, 0.5, -0.5, 1.0, -1.0, 0.125], 16000)
@@ -239,6 +250,39 @@ class TestResample:
         buf = AudioBuffer(np.full(100, 0.1, dtype=np.float32), rate)
         with pytest.raises(ValueError, match=f"^resampling {rate} Hz to 16000 Hz needs"):
             resample(buf)
+
+    def test_result_past_float32_refused_silently(self, capfd):
+        # a 1 kHz square wave of +-3.3e38 overshoots float32's 3.4e38 once filtered
+        square = np.where(np.arange(4800) // 24 % 2, 3.3e38, -3.3e38).astype(np.float32)
+        with pytest.raises(ValueError, match="^resampling 48000 Hz to 16000 Hz overflows "
+                                             r"float32 \(peak 3\.86e\+38\)$"):
+            resample(AudioBuffer(square, 48000))
+        assert capfd.readouterr() == ("", "")
+
+
+class TestPolyphaseKernel:
+    """The numpy kernel computes the filter scipy's resample_poly applies with
+    firwin's taps; only the float64 rounding may differ."""
+
+    # the rates test_output_length_rounds sweeps
+    @pytest.mark.parametrize("rate", [8000, 11025, 22050, 32000, 44100, 48000, 88200,
+                                      96000, 12345, 44101])
+    def test_matches_resample_poly(self, rate):
+        up, down = audio._ratio(rate)
+        m = max(up, down)
+        taps = firwin(2 * audio._SINC_ZERO_CROSSINGS * m + 1, 1.0 / m,
+                      window=("kaiser", audio._KAISER_BETA))
+        rng = np.random.default_rng(rate)
+        n = _needed_prefix(rate)
+        for length in (1, n - 1, n + 1, 3 * rate):
+            n_out = int(np.floor(length * RIR_RATE / rate + 0.5))
+            if n_out == 0:
+                continue
+            x = rng.uniform(-0.5, 0.5, length).astype(np.float32).astype(np.float64)
+            ref = resample_poly(x, up, down, window=taps)[:n_out]
+            y = audio._polyphase(x, up, down, n_out)
+            assert y.shape == ref.shape, (rate, length)
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.max(np.abs(ref)), (rate, length)
 
 
 class TestToRir:
@@ -397,6 +441,21 @@ class TestConvolve:
                 while m % p == 0:
                     m //= p
             assert m == 1, nfft
+
+    def test_fast_len_is_scipys_next_fast_len(self):
+        lengths = [*range(1, 2**17 + 1), 2**31 - 1, 2**31 + 1]
+        mine = [audio._fast_len(n) for n in lengths]
+        scipys = [next_fast_len(n, real=True) for n in lengths]
+        wrong = [(n, a, b) for n, a, b in zip(lengths, mine, scipys) if a != b]
+        assert not wrong, wrong[:5]
+
+    def test_result_past_float32_refused_silently(self, capfd):
+        x = AudioBuffer(np.full(100, 3e38, dtype=np.float32), 16000)
+        h = AudioBuffer(np.float32([1.0, 0.5]), 16000)
+        with pytest.raises(ValueError, match=r"^the convolution overflows float32 "
+                                             r"\(peak 4\.5e\+38\)$"):
+            convolve(x, h)
+        assert capfd.readouterr() == ("", "")
 
     def test_rate_mismatch(self):
         x = AudioBuffer(np.float32([1, 2]), 16000)

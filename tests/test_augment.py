@@ -312,6 +312,16 @@ class TestAugmentCorpus:
         assert records == [] and failures == [(u, message) for u, _ in clean]
         assert capfd.readouterr() == ("", "")
 
+    def test_clean_whose_reverberant_copy_overflows_fails_naming_it(self, tmp_path, capfd):
+        clean, rirs, noises = make_corpus(tmp_path, n_utts=1)
+        save_wav(buf(np.full(2000, 3e38)), clean[0][1])
+        records, failures = augment_corpus(clean, rirs, noises, AugmentSpec(rng_seed=1),
+                                           tmp_path / "out")
+        assert records == [] and len(failures) == 1 and failures[0][0] == clean[0][0]
+        assert re.fullmatch(r"the convolution overflows float32 \(peak \S+e\+39\)",
+                            failures[0][1]), failures
+        assert capfd.readouterr() == ("", "")
+
     def test_snr_db_interpretation(self, tmp_path):
         clean, rirs, noises = make_corpus(tmp_path, n_utts=1)
         spec = AugmentSpec(snr_range=(20.0, 20.0), rng_seed=3, snr_in_db=True)

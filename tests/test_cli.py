@@ -202,6 +202,20 @@ def test_analyze_reports_failed_rirs_and_carries_on(workspace, tmp_path, capsys)
     assert len(rows) == 2 and rows[1].startswith("rir_0,")
 
 
+def test_rir_past_float32_once_resampled_fails_in_one_line(tmp_path, capsys):
+    """A 48 kHz float RIR of +-3.3e38 overshoots float32 once filtered:
+    analyze and validate name the overflow, and numpy prints no warning."""
+    path = tmp_path / "square.wav"
+    square = np.where(np.arange(4800) // 24 % 2, 3.3e38, -3.3e38).astype(np.float32)
+    save_wav(AudioBuffer(square, 48000), path)
+    says = f"{path}: resampling 48000 Hz to 16000 Hz overflows float32 (peak 3.86e+38)"
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"failed {says}\n")
+    assert main(["validate", "--pool", _pool(tmp_path, f"r1,S,{path}\n")]) == 1
+    assert capsys.readouterr() == ("checked 1 entries (S:1)\n"
+                                   f"  r1: not loadable as RIR: {says}\n1 problem(s)\n", "")
+
+
 def _one_sample_48k_wav(tmp):
     """Too short to give one sample at 16 kHz."""
     path = tmp / "one_sample.wav"

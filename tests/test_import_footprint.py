@@ -1,4 +1,4 @@
-"""rirkit imports scipy only when it resamples or convolves.
+"""rirkit never imports scipy, and a module loads only the rirkit modules it uses.
 
 Each case runs in a fresh interpreter: this test process has scipy loaded
 already (test_audio imports scipy.signal for its reference filters).
@@ -64,20 +64,35 @@ def test_analyze_train_generate_at_16k_never_import_scipy(tmp_path):
     """, tmp_path)
 
 
-@pytest.mark.parametrize("call, module", [
-    ("audio.resample(audio.AudioBuffer(np.ones(480, np.float32), 48000))",
-     "scipy.signal"),
-    ("audio.convolve(audio.AudioBuffer(np.ones(8, np.float32), 16000),"
-     " audio.AudioBuffer(np.ones(4, np.float32), 16000))", "scipy.fft"),
-])
-def test_resample_and_convolve_import_scipy(tmp_path, call, module):
-    _run(f"""
+def test_augment_and_validate_at_48k_never_import_scipy(tmp_path):
+    # every RIR, noise and clean file is resampled, and every utterance convolved
+    _run("""
         import numpy as np
-        from rirkit import audio
+        from rirkit.audio import AudioBuffer, save_wav
+        from rirkit.cli import main
 
-        assert {module!r} not in sys.modules
-        {call}
-        assert {module!r} in sys.modules
+        rng = np.random.default_rng(0)
+        decay = 10.0 ** (-3.0 * np.arange(24000) / (48000 * 0.3))
+        rows = []
+        for i in range(2):
+            h = rng.standard_normal(24000) * decay
+            h[0] = 4.0
+            save_wav(AudioBuffer((h / np.abs(h).max()).astype(np.float32), 48000),
+                     f"rir_{i}.wav")
+            rows.append(f"r{i},S,rir_{i}.wav")
+        open("pool.csv", "w").write("\\n".join(rows) + "\\n")
+        save_wav(AudioBuffer(rng.uniform(-0.3, 0.3, 24000).astype(np.float32), 48000),
+                 "noise.wav")
+        open("noise.csv", "w").write("n0,OTHER,noise.wav\\n")
+        save_wav(AudioBuffer(rng.uniform(-0.4, 0.4, 18000).astype(np.float32), 48000),
+                 "clean.wav")
+        open("clean.csv", "w").write("utt_id,path\\nu0,clean.wav\\nu1,clean.wav\\n")
+
+        assert main(["--out-dir", "aug", "augment", "--clean", "clean.csv",
+                     "--rirs", "pool.csv", "--noise", "noise.csv"]) == 0
+        assert main(["validate", "--pool", "pool.csv"]) == 0
+        loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+        assert not loaded, loaded
     """, tmp_path)
 
 

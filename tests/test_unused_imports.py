@@ -1,5 +1,5 @@
-"""No module of rirkit imports a name it never uses, no private helper goes
-unread, and no constant goes unread.
+"""No module of rirkit imports a name it never uses or imports scipy, no
+private helper goes unread, and no constant goes unread.
 
 There is no linter among the test dependencies, so this walks each module's
 syntax tree: every name an import binds (``from __future__`` aside) must be
@@ -47,6 +47,33 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The import statements that load scipy or one of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name == "scipy" or name.startswith("scipy.")]
+    return found
+
+
+def test_the_check_finds_a_scipy_import():
+    assert scipy_imports("import scipy_like, numpy as np\nfrom . import scipy\n"
+                         "def f():\n    from scipy.signal import firwin\n"
+                         "    import os, scipy.fft as fft\n") == [
+        "line 4: scipy.signal", "line 5: scipy.fft"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
 
 
 def module_names(source: str) -> list[tuple[str, int, bool]]:
